@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,22 +29,36 @@ from .polygon_core import PolygonKind
 
 ENV_CONFIG = "BONNESEN_CONFIG"
 
-_DEFAULTS = {
-    "n": list(range(3, 9)),
-    "alpha": [1, 2, 3],
-    "k": [2, 3],
-    "kinds": ["tangential", "cyclic"],
-    "samples": 10_000,
-    "seed": 7,
-    "margin": 1e-6,
-    "tolerance": 1e-10,
-    "precision": "standard",
-    "format": "json",
-    "out": None,
-    "starts": 20,
-    "grid_resolution": 100,
-    "inject_fault": False,
+def _int_list(minimum: int, **extra) -> dict:
+    return {"type": "array", "minItems": 1,
+            "items": {"type": "integer", "minimum": minimum}, **extra}
+
+
+#: Every config key with its type, range and default. The merged config
+#: (defaults, then config file, then flags) is checked against it.
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "n": _int_list(3, default=list(range(3, 9))),
+        "alpha": _int_list(1, default=[1, 2, 3]),
+        "k": _int_list(2, default=[2, 3]),
+        "kinds": {"type": "array", "minItems": 1, "default": ["tangential", "cyclic"],
+                  "items": {"enum": [kind.value for kind in PolygonKind]}},
+        "samples": {"type": "integer", "minimum": 1, "default": 10_000},
+        "seed": {"anyOf": [{"type": "integer", "minimum": 0}, _int_list(0)], "default": 7},
+        "margin": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5,
+                   "default": 1e-6},
+        "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
+        "precision": {"enum": ["standard", "high"], "default": "standard"},
+        "format": {"enum": ["json", "csv"], "default": "json"},
+        "out": {"type": ["string", "null"], "default": None},
+        "starts": {"type": "integer", "minimum": 1, "default": 20},
+        "grid_resolution": {"type": "integer", "minimum": 1, "default": 100},
+        "inject_fault": {"type": "boolean", "default": False},
+    },
 }
+
+_DEFAULTS = {key: prop["default"] for key, prop in CONFIG_SCHEMA["properties"].items()}
 
 _SEARCH_DEFAULT_N = [3, 4, 5]
 
@@ -124,44 +139,33 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _setting(args, file_cfg: dict, key: str, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
 def _resolve_config(args, extra_defaults: dict | None = None) -> dict:
     file_cfg = _load_config_file(getattr(args, "config", None))
-    defaults = dict(_DEFAULTS)
-    if extra_defaults:
-        defaults.update(extra_defaults)
-    cfg = {key: _setting(args, file_cfg, key, default)
-           for key, default in defaults.items()}
-    _validate_config(cfg)
+    cfg = dict(_DEFAULTS, **(extra_defaults or {}))
+    for key, default in cfg.items():
+        flag = getattr(args, key, None)
+        cfg[key] = flag if flag is not None else file_cfg.get(key, default)
+    _validate(cfg, CONFIG_SCHEMA)
     return cfg
 
 
-def _validate_config(cfg: dict) -> None:
-    for key in ("n", "alpha", "k", "kinds"):
-        if not cfg[key]:
-            raise UsageError(f"--{key} must be nonempty")
-    if any(n < 3 for n in cfg["n"]):
-        raise UsageError("--n values must be >= 3")
-    if any(a < 1 for a in cfg["alpha"]):
-        raise UsageError("--alpha values must be >= 1")
-    if any(k < 2 for k in cfg["k"]):
-        raise UsageError("--k values must be >= 2")
-    if cfg["samples"] is not None and cfg["samples"] < 1:
-        raise UsageError("--samples must be >= 1")
-    if cfg.get("starts") is not None and cfg["starts"] < 1:
-        raise UsageError("--starts must be >= 1")
-    if not (0.0 < cfg["margin"] < 0.5):
-        raise UsageError("--margin must be in (0, 0.5)")
-    if cfg["tolerance"] <= 0.0:
-        raise UsageError("--tolerance must be positive")
+def _validate(cfg: dict, schema: dict) -> None:
+    """Raise UsageError naming the first key of ``cfg`` that breaks ``schema``.
+
+    JSON Schema's integer also admits 1000.0 and its number NaN; a config
+    takes neither, so integers must be ints and numbers finite.
+    """
+    import jsonschema  # imported on use, as in reporting: it adds ~4 MiB
+
+    base = jsonschema.Draft202012Validator
+    strict = jsonschema.validators.extend(base, type_checker=base.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool),
+        "number": lambda _, x: (isinstance(x, (int, float)) and not isinstance(x, bool)
+                                and math.isfinite(x)),
+    }))
+    err = jsonschema.exceptions.best_match(strict(schema).iter_errors(cfg))
+    if err is not None:
+        raise UsageError(f"config key {err.absolute_path[0]!r}: {err.message}")
 
 
 def _kinds(cfg) -> tuple[PolygonKind, ...]:
@@ -259,6 +263,7 @@ def cmd_catalog(args) -> int:
     fmt = getattr(args, "format", None) or file_cfg.get("format") or "text"
     entries = catalog.list_entries()
     if kinds:
+        _validate({"kinds": kinds}, CONFIG_SCHEMA)
         wanted = {PolygonKind(k) for k in kinds}
         entries = tuple(e for e in entries if e.kinds & wanted)
     rows = [{
@@ -291,10 +296,17 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import jsonschema  # imported on use, as in reporting: it adds ~4 MiB
+
     try:
         doc = reporting.load_report(args.path)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read report {args.path!r}: {exc}") from exc
+    try:
+        reporting.validate_report(doc)
+    except jsonschema.ValidationError as exc:
+        raise UsageError(f"report {args.path!r} is not a valid "
+                         f"{reporting.SCHEMA_VERSION} document: {exc.message}") from exc
     fmt = args.format or "text"
     results = doc.get("results", [])
     if fmt == "csv":
@@ -322,9 +334,7 @@ def cmd_report(args) -> int:
 
 
 def _public_config(cfg: dict) -> dict:
-    keep = ["n", "alpha", "k", "kinds", "samples", "seed", "margin",
-            "tolerance", "precision", "starts", "grid_resolution", "inject_fault"]
-    return {k: cfg[k] for k in keep if k in cfg}
+    return {k: v for k, v in cfg.items() if k not in ("format", "out")}
 
 
 _COMMANDS = {

@@ -35,6 +35,7 @@ from .polygon_core import (
     AngleVector,
     PolygonKind,
     PolygonModel,
+    seed_parts,
 )
 
 #: grid_scan refuses lattices with more evaluation points than this.
@@ -44,12 +45,6 @@ GRID_POINT_CAP = 10_000_000
 COUNTEREXAMPLE_RTOL = 1e-8
 
 _TOTAL = math.pi
-
-
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,7 @@ def minimize_slack(
     while used < max_starts:
         batch = min(batch, max_starts - used)
         for idx in range(used, used + batch):
-            rng = np.random.default_rng(_seed_list(seed) + [idx])
+            rng = np.random.default_rng(seed_parts(seed) + [idx])
             z0 = _free_from_angles(_feasible_start(rng, n, margin), n, margin)
             zb, fb, iters, conv, _ = _nelder_mead(fn, z0, xtol, max_iter)
             total_iters += iters
@@ -389,23 +384,15 @@ def falsify(
     entry = catalog._resolve(entry_or_id)
     kind = _entry_kind(entry, kind)
     alpha, k = entry.params.validate(alpha, k)
+    fn = _objective(entry, kind, n, radius, alpha, k, margin)
     upper = GEOMETRIC_BOUND - margin
     spent = 0
-
-    def fn_counted(z):
-        nonlocal spent
-        spent += 1
-        theta = _angles_from_free(z, n, margin)
-        if (theta >= upper).any():
-            return float("inf")
-        out = catalog.evaluate_batch(entry, kind, radius, theta[None, :], alpha, k)
-        return float(out["slack"][0])
-
     start = 0
     while spent < budget_evals:
-        rng = np.random.default_rng(_seed_list(seed) + [start])
+        rng = np.random.default_rng(seed_parts(seed) + [start])
         z0 = _free_from_angles(_feasible_start(rng, n, margin), n, margin)
-        zb, fb, _, _, _ = _nelder_mead(fn_counted, z0, 1e-10, 4000)
+        zb, fb, _, _, evals = _nelder_mead(fn, z0, 1e-10, 4000)
+        spent += evals
         start += 1
         theta = _angles_from_free(zb, n, margin)
         if not math.isfinite(fb) or (theta >= upper).any():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import mpmath as mp
 
 from .errors import DomainViolation
-from .polygon_core import PolygonKind
+from .polygon_core import EvalContext, PolygonKind, eval_context
 
 #: Default working precision (decimal digits) for exact re-evaluation.
 DEFAULT_DPS = 50
@@ -19,40 +19,25 @@ DEFAULT_DPS = 50
 MIN_DPS = 30
 
 
-def measure_exact(kind: PolygonKind, radius, angles, dps: int = DEFAULT_DPS) -> dict:
+def measure_exact(kind: PolygonKind, radius, angles, dps: int = DEFAULT_DPS) -> EvalContext:
     """Closed-form polygon measurement with mpf arithmetic.
 
-    Returns a dict of mpf values: L, A, Lstar, Astar, dn, deficit,
-    tan_pin, cos_pin. ``angles`` is any iterable of reals summing to pi.
+    The same closed forms as the float backend, with the per-row sums taken
+    by ``mp.fsum`` at ``dps`` digits. ``angles`` is any iterable of reals
+    summing to pi. Formulas evaluated on the result keep full precision
+    only inside an ``mp.workdps(dps)`` block of their own.
     """
     if dps < MIN_DPS:
         raise DomainViolation(f"high-precision mode needs dps >= {MIN_DPS}, got {dps}")
     with mp.workdps(dps):
         th = [mp.mpf(v) for v in angles]
         n = len(th)
-        R = mp.mpf(radius)
-        pin = mp.pi / n
-        d = n * mp.tan(pin)
         if kind == PolygonKind.TANGENTIAL:
-            s = mp.fsum(mp.tan(t) for t in th)
-            L = 2 * R * s
-            A = R**2 * s
-            Lstar = 2 * n * R * mp.tan(pin)
-            Astar = n * R**2 * mp.tan(pin)
+            sum_L = sum_A = mp.fsum(mp.tan(t) for t in th)
         else:
-            L = 2 * R * mp.fsum(mp.sin(t) for t in th)
-            A = R**2 * mp.fsum(mp.sin(t) * mp.cos(t) for t in th)
-            Lstar = 2 * n * R * mp.sin(pin)
-            Astar = n * R**2 * mp.sin(pin) * mp.cos(pin)
-        return {
-            "L": L,
-            "A": A,
-            "Lstar": Lstar,
-            "Astar": Astar,
-            "dn": d,
-            "deficit": L**2 - 4 * d * A,
-            "tan_pin": mp.tan(pin),
-            "cos_pin": mp.cos(pin),
-            "R": R,
-            "n": n,
-        }
+            sin = [mp.sin(t) for t in th]
+            sum_L = mp.fsum(sin)
+            sum_A = mp.fsum(s * mp.cos(t) for s, t in zip(sin, th))
+        pin = mp.pi / n
+        return eval_context(kind, n, mp.mpf(radius), sum_L, sum_A,
+                            mp.tan(pin), mp.sin(pin), mp.cos(pin))

@@ -17,15 +17,16 @@ the stable report schema.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
+import mpmath as mp
 import numpy as np
 
 from . import highprec
 from .analytic_inequalities import Direction
 from .errors import KindMismatch, ParamOutOfDomain, UnknownId
-from .polygon_core import PolygonKind, PolygonModel, measure_arrays
+from .polygon_core import EvalContext, PolygonKind, PolygonModel, measure_arrays
 from .records import EQUALITY_RTOL, SlackRecord, scale_tolerance
 
 log = logging.getLogger(__name__)
@@ -33,37 +34,6 @@ log = logging.getLogger(__name__)
 BOTH_KINDS = frozenset({PolygonKind.TANGENTIAL, PolygonKind.CYCLIC})
 TANGENTIAL_ONLY = frozenset({PolygonKind.TANGENTIAL})
 CYCLIC_ONLY = frozenset({PolygonKind.CYCLIC})
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    """Measured quantities one slack formula needs; float, array or mpf."""
-
-    n: int
-    R: object
-    L: object
-    A: object
-    Lstar: object
-    Astar: object
-    dn: object
-    tan_pin: object
-    cos_pin: object
-
-    @property
-    def L_hat(self):
-        return self.L / (2 * self.R)
-
-    @property
-    def Lstar_hat(self):
-        return self.Lstar / (2 * self.R)
-
-    @property
-    def A_hat(self):
-        return self.A / (self.R * self.R)
-
-    @property
-    def Astar_hat(self):
-        return self.Astar / (self.R * self.R)
 
 
 @dataclass(frozen=True)
@@ -80,35 +50,8 @@ class ParamSpec:
     k_fixed: int | None = None
 
     def validate(self, alpha, k) -> tuple[int | None, int | None]:
-        if not self.uses_alpha:
-            if alpha is not None:
-                raise ParamOutOfDomain("entry takes no alpha")
-            a = None
-        elif self.alpha_fixed is not None:
-            a = self.alpha_fixed if alpha is None else alpha
-            if a != self.alpha_fixed:
-                raise ParamOutOfDomain(
-                    f"entry fixes alpha = {self.alpha_fixed}, got {alpha!r}"
-                )
-        else:
-            a = 1 if alpha is None else alpha
-            if not isinstance(a, (int, np.integer)) or a < 1:
-                raise ParamOutOfDomain(f"alpha must be a positive integer, got {alpha!r}")
-            a = int(a)
-        if not self.uses_k:
-            if k is not None:
-                raise ParamOutOfDomain("entry takes no k")
-            kk = None
-        elif self.k_fixed is not None:
-            kk = self.k_fixed if k is None else k
-            if kk != self.k_fixed:
-                raise ParamOutOfDomain(f"entry fixes k = {self.k_fixed}, got {k!r}")
-        else:
-            kk = 2 if k is None else k
-            if not isinstance(kk, (int, np.integer)) or kk < 2:
-                raise ParamOutOfDomain(f"k must be an integer >= 2, got {k!r}")
-            kk = int(kk)
-        return a, kk
+        return (_validate_param("alpha", self.uses_alpha, self.alpha_fixed, alpha, 1),
+                _validate_param("k", self.uses_k, self.k_fixed, k, 2))
 
     def combos(self, alpha_set: Iterable[int], k_set: Iterable[int]) -> list[tuple]:
         """Legal (alpha, k) pairs for a sweep grid, deterministic order.
@@ -116,24 +59,45 @@ class ParamSpec:
         Fixed parameters contribute their pinned value regardless of the
         grid; free parameters range over the sorted grid values.
         """
-        if not self.uses_alpha:
-            alphas = [None]
-        elif self.alpha_fixed is not None:
-            alphas = [self.alpha_fixed]
-        else:
-            alphas = sorted({int(a) for a in alpha_set if int(a) >= 1})
-        if not self.uses_k:
-            ks = [None]
-        elif self.k_fixed is not None:
-            ks = [self.k_fixed]
-        else:
-            ks = sorted({int(k) for k in k_set if int(k) >= 2})
+        alphas = _param_grid(self.uses_alpha, self.alpha_fixed, alpha_set, 1)
+        ks = _param_grid(self.uses_k, self.k_fixed, k_set, 2)
         return [(a, k) for a in alphas for k in ks]
+
+
+def _validate_param(name: str, used: bool, fixed, value, minimum: int):
+    """The value one parameter takes; ``minimum`` is also its default."""
+    if not used:
+        if value is not None:
+            raise ParamOutOfDomain(f"entry takes no {name}")
+        return None
+    if fixed is not None:
+        if value is not None and value != fixed:
+            raise ParamOutOfDomain(f"entry fixes {name} = {fixed}, got {value!r}")
+        return fixed
+    v = minimum if value is None else value
+    if not isinstance(v, (int, np.integer)) or v < minimum:
+        raise ParamOutOfDomain(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(v)
+
+
+def _param_grid(used: bool, fixed, values: Iterable[int], minimum: int) -> list:
+    if not used:
+        return [None]
+    if fixed is not None:
+        return [fixed]
+    return sorted({int(v) for v in values if int(v) >= minimum})
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One displayed inequality: formulas, kind, parameters, metadata."""
+    """One displayed inequality: formula, kind, parameters, metadata.
+
+    ``sides(ctx, alpha, k)`` returns ``(lhs, rhs)``, each side a pair
+    ``(factor, terms)`` whose value is ``factor * (t1 + t2 + ...)`` summed
+    from the first term; a factor of 1 is not multiplied and an empty term
+    tuple is 0. The terms carry their signs, and every ``|factor * term|``
+    enters the record's scale.
+    """
 
     id: str
     citation: str
@@ -141,9 +105,7 @@ class CatalogEntry:
     direction: Direction
     params: ParamSpec
     formula: str
-    lhs: Callable  # (ctx, alpha, k) -> value
-    rhs: Callable
-    terms: Callable  # (ctx, alpha, k) -> tuple of top-level magnitudes
+    sides: Callable  # (ctx, alpha, k) -> ((factor, terms), (factor, terms))
     homogeneity_fn: Callable = None  # (alpha, k) -> int | None
 
     def homogeneity_degree(self, alpha=None, k=None) -> int | None:
@@ -155,12 +117,14 @@ class CatalogEntry:
         return kind in self.kinds
 
 
-def _deficit_lhs(ctx, a):
-    return ctx.L ** (2 * a) - (4 * ctx.dn * ctx.A) ** a
+def _deficit(c, a):
+    """L^(2a) - (4 d_n A)^a."""
+    return 1, (c.L ** (2 * a), -(4 * c.dn * c.A) ** a)
 
 
-def _dimless_lhs(ctx, a):
-    return ctx.A_hat ** (2 * a) - ctx.dn**a * ctx.L_hat**a
+def _dimless(c, a):
+    """(A/R^2)^(2a) - d_n^a (L/2R)^a."""
+    return 1, (c.A_hat ** (2 * a), -c.dn**a * c.L_hat**a)
 
 
 def _build_entries() -> tuple[CatalogEntry, ...]:
@@ -179,237 +143,137 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     entries = [
         CatalogEntry(
             id="BASIC", citation="Eq. 1.2", kinds=BOTH_KINDS, direction=Direction.GE,
-            params=no_params,
+            params=no_params, homogeneity_fn=lambda a, k: 2,
             formula="L^2 - 4*d_n*A >= 0",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: c.L * 0,
-            terms=lambda c, a, k: (c.L**2, 4 * c.dn * c.A),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: (_deficit(c, 1), (1, ())),
         ),
         CatalogEntry(
             id="ZHANG97", citation="Eq. 1.4", kinds=CYCLIC_ONLY, direction=Direction.GE,
-            params=no_params,
+            params=no_params, homogeneity_fn=lambda a, k: 2,
             formula="L^2 - 4*d_n*A >= (L* - L)^2",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: (c.Lstar - c.L) ** 2,
-            terms=lambda c, a, k: (c.L**2, 4 * c.dn * c.A, (c.Lstar - c.L) ** 2),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: (_deficit(c, 1), (1, ((c.Lstar - c.L) ** 2,))),
         ),
         CatalogEntry(
             id="T31A", citation="Eq. 3.1", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
+            params=free_a, homogeneity_fn=lambda a, k: 2 * a,
             formula="L^(2a) - 4^a*(d_n*A)^a >= (2*R*tan(pi/n))^a * (L^a - L*^a)",
-            lhs=lambda c, a, k: _deficit_lhs(c, a),
-            rhs=lambda c, a, k: (2 * c.R * c.tan_pin) ** a * (c.L**a - c.Lstar**a),
-            terms=lambda c, a, k: (
-                c.L ** (2 * a), (4 * c.dn * c.A) ** a,
-                (2 * c.R * c.tan_pin) ** a * c.L**a,
-                (2 * c.R * c.tan_pin) ** a * c.Lstar**a,
-            ),
-            homogeneity_fn=lambda a, k: 2 * a,
+            sides=lambda c, a, k: (
+                _deficit(c, a), ((2 * c.R * c.tan_pin) ** a, (c.L**a, -c.Lstar**a))),
         ),
         CatalogEntry(
             id="T31B", citation="Eq. 3.2", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
+            params=free_a, homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((L/2R)^a - (L*/2R)^a)",
-            lhs=lambda c, a, k: _dimless_lhs(c, a),
-            rhs=lambda c, a, k: c.tan_pin**a * (c.L_hat**a - c.Lstar_hat**a),
-            terms=lambda c, a, k: (
-                c.A_hat ** (2 * a), c.dn**a * c.L_hat**a,
-                c.tan_pin**a * c.L_hat**a, c.tan_pin**a * c.Lstar_hat**a,
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (
+                _dimless(c, a), (c.tan_pin**a, (c.L_hat**a, -c.Lstar_hat**a))),
         ),
         CatalogEntry(
             id="C35", citation="Eq. 3.5", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1),
+            params=fixed(a=1), homogeneity_fn=lambda a, k: 2,
             formula="L^2 - 4*d_n*A >= 2*R*tan(pi/n) * (L - L*)",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: 2 * c.R * c.tan_pin * (c.L - c.Lstar),
-            terms=lambda c, a, k: (
-                c.L**2, 4 * c.dn * c.A,
-                2 * c.R * c.tan_pin * c.L, 2 * c.R * c.tan_pin * c.Lstar,
-            ),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: (_deficit(c, 1), (2 * c.R * c.tan_pin, (c.L, -c.Lstar))),
         ),
         CatalogEntry(
             id="C36", citation="Eq. 3.6", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1),
+            params=fixed(a=1), homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (L/2R - L*/2R)",
-            lhs=lambda c, a, k: _dimless_lhs(c, 1),
-            rhs=lambda c, a, k: c.tan_pin * (c.L_hat - c.Lstar_hat),
-            terms=lambda c, a, k: (
-                c.A_hat**2, c.dn * c.L_hat,
-                c.tan_pin * c.L_hat, c.tan_pin * c.Lstar_hat,
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (_dimless(c, 1), (c.tan_pin, (c.L_hat, -c.Lstar_hat))),
         ),
         CatalogEntry(
             id="T32A", citation="Eq. 3.7", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
+            params=free_a, homogeneity_fn=lambda a, k: 2 * a,
             formula="L^(2a) - 4^a*(d_n*A)^a >= 4^a*tan(pi/n)^a * (A^a - A*^a)",
-            lhs=lambda c, a, k: _deficit_lhs(c, a),
-            rhs=lambda c, a, k: (4 * c.tan_pin) ** a * (c.A**a - c.Astar**a),
-            terms=lambda c, a, k: (
-                c.L ** (2 * a), (4 * c.dn * c.A) ** a,
-                (4 * c.tan_pin) ** a * c.A**a, (4 * c.tan_pin) ** a * c.Astar**a,
-            ),
-            homogeneity_fn=lambda a, k: 2 * a,
+            sides=lambda c, a, k: (
+                _deficit(c, a), ((4 * c.tan_pin) ** a, (c.A**a, -c.Astar**a))),
         ),
         CatalogEntry(
             id="T32B", citation="Eq. 3.8", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
+            params=free_a, homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((A/R^2)^a - (A*/R^2)^a)",
-            lhs=lambda c, a, k: _dimless_lhs(c, a),
-            rhs=lambda c, a, k: c.tan_pin**a * (c.A_hat**a - c.Astar_hat**a),
-            terms=lambda c, a, k: (
-                c.A_hat ** (2 * a), c.dn**a * c.L_hat**a,
-                c.tan_pin**a * c.A_hat**a, c.tan_pin**a * c.Astar_hat**a,
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (
+                _dimless(c, a), (c.tan_pin**a, (c.A_hat**a, -c.Astar_hat**a))),
         ),
         CatalogEntry(
             id="CQX", citation="Eq. qx", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1),
+            params=fixed(a=1), homogeneity_fn=lambda a, k: 2,
             formula="L^2 - 4*d_n*A >= 4*tan(pi/n) * (A - A*)",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: 4 * c.tan_pin * (c.A - c.Astar),
-            terms=lambda c, a, k: (
-                c.L**2, 4 * c.dn * c.A,
-                4 * c.tan_pin * c.A, 4 * c.tan_pin * c.Astar,
-            ),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: (_deficit(c, 1), (4 * c.tan_pin, (c.A, -c.Astar))),
         ),
         CatalogEntry(
             id="CQC", citation="Eq. qc", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1),
+            params=fixed(a=1), homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (A/R^2 - A*/R^2)",
-            lhs=lambda c, a, k: _dimless_lhs(c, 1),
-            rhs=lambda c, a, k: c.tan_pin * (c.A_hat - c.Astar_hat),
-            terms=lambda c, a, k: (
-                c.A_hat**2, c.dn * c.L_hat,
-                c.tan_pin * c.A_hat, c.tan_pin * c.Astar_hat,
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (_dimless(c, 1), (c.tan_pin, (c.A_hat, -c.Astar_hat))),
         ),
         CatalogEntry(
             id="T41A", citation="Eq. 4.1", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
             params=free_ak,
-            formula="L^(2a) - (4*d_n*A)^a <= L^(ka) - L*^(ka)",
-            lhs=lambda c, a, k: _deficit_lhs(c, a),
-            rhs=lambda c, a, k: c.L ** (k * a) - c.Lstar ** (k * a),
-            terms=lambda c, a, k: (
-                c.L ** (2 * a), (4 * c.dn * c.A) ** a,
-                c.L ** (k * a), c.Lstar ** (k * a),
-            ),
             # Sides scale as R^(2a) and R^(ka): only k = 2 is homogeneous.
             homogeneity_fn=lambda a, k: 2 * a if k == 2 else None,
+            formula="L^(2a) - (4*d_n*A)^a <= L^(ka) - L*^(ka)",
+            sides=lambda c, a, k: (_deficit(c, a), (1, (c.L ** (k * a), -c.Lstar ** (k * a)))),
         ),
         CatalogEntry(
             id="T41B", citation="Eq. 4.2", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
+            params=free_ak, homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (L/2R)^(ka) - (L*/2R)^(ka)",
-            lhs=lambda c, a, k: _dimless_lhs(c, a),
-            rhs=lambda c, a, k: c.L_hat ** (k * a) - c.Lstar_hat ** (k * a),
-            terms=lambda c, a, k: (
-                c.A_hat ** (2 * a), c.dn**a * c.L_hat**a,
-                c.L_hat ** (k * a), c.Lstar_hat ** (k * a),
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (
+                _dimless(c, a), (1, (c.L_hat ** (k * a), -c.Lstar_hat ** (k * a)))),
         ),
         CatalogEntry(
             id="C4A", citation="Eq. 4.3", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=3),
+            params=fixed(a=1, k=3), homogeneity_fn=lambda a, k: None,
             formula="L^2 - 4*d_n*A <= L^3 - L*^3",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: c.L**3 - c.Lstar**3,
-            terms=lambda c, a, k: (c.L**2, 4 * c.dn * c.A, c.L**3, c.Lstar**3),
-            homogeneity_fn=lambda a, k: None,
+            sides=lambda c, a, k: (_deficit(c, 1), (1, (c.L**3, -c.Lstar**3))),
         ),
         CatalogEntry(
             id="C4B", citation="Eq. 4.4", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=2),
+            params=fixed(a=1, k=2), homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^2 - d_n*(L/2R) <= (L/2R)^2 - (L*/2R)^2",
-            lhs=lambda c, a, k: _dimless_lhs(c, 1),
-            rhs=lambda c, a, k: c.L_hat**2 - c.Lstar_hat**2,
-            terms=lambda c, a, k: (
-                c.A_hat**2, c.dn * c.L_hat, c.L_hat**2, c.Lstar_hat**2,
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (_dimless(c, 1), (1, (c.L_hat**2, -c.Lstar_hat**2))),
         ),
         CatalogEntry(
             id="T42A", citation="Eq. 4.5", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
+            params=free_ak, homogeneity_fn=lambda a, k: 2 * a,
             formula="L^(2a) - 4^a*(d_n*A)^a <= 4^a/R^(2(k-1)a) * (A^(ka) - A*^(ka))",
-            lhs=lambda c, a, k: _deficit_lhs(c, a),
             # Normalized to R = 1 via A/R^2 and rescaled by R^(2a): avoids the
             # 1/R^(2(k-1)a) division that amplifies roundoff for small R.
-            rhs=lambda c, a, k: (4**a * c.R ** (2 * a))
-            * (c.A_hat ** (k * a) - c.Astar_hat ** (k * a)),
-            terms=lambda c, a, k: (
-                c.L ** (2 * a), (4 * c.dn * c.A) ** a,
-                (4**a * c.R ** (2 * a)) * c.A_hat ** (k * a),
-                (4**a * c.R ** (2 * a)) * c.Astar_hat ** (k * a),
-            ),
-            homogeneity_fn=lambda a, k: 2 * a,
+            sides=lambda c, a, k: (_deficit(c, a), (
+                4**a * c.R ** (2 * a), (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
         ),
         CatalogEntry(
             id="T42B", citation="Eq. 4.6", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
+            params=free_ak, homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (A/R^2)^(ka) - (A*/R^2)^(ka)",
-            lhs=lambda c, a, k: _dimless_lhs(c, a),
-            rhs=lambda c, a, k: c.A_hat ** (k * a) - c.Astar_hat ** (k * a),
-            terms=lambda c, a, k: (
-                c.A_hat ** (2 * a), c.dn**a * c.L_hat**a,
-                c.A_hat ** (k * a), c.Astar_hat ** (k * a),
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (
+                _dimless(c, a), (1, (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
         ),
         CatalogEntry(
             id="C42A", citation="Eq. 4.7", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=2),
+            params=fixed(a=1, k=2), homogeneity_fn=lambda a, k: 2,
             formula="L^2 - 4*d_n*A <= 4/R^2 * (A^2 - A*^2)",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: (4 * c.R**2) * (c.A_hat**2 - c.Astar_hat**2),
-            terms=lambda c, a, k: (
-                c.L**2, 4 * c.dn * c.A,
-                (4 * c.R**2) * c.A_hat**2, (4 * c.R**2) * c.Astar_hat**2,
-            ),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: (
+                _deficit(c, 1), (4 * c.R**2, (c.A_hat**2, -c.Astar_hat**2))),
         ),
         CatalogEntry(
             id="C42B", citation="Eq. 4.8", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=3),
+            params=fixed(a=1, k=3), homogeneity_fn=lambda a, k: 0,
             formula="(A/R^2)^2 - d_n*(L/2R) <= (A/R^2)^3 - (A*/R^2)^3",
-            lhs=lambda c, a, k: _dimless_lhs(c, 1),
-            rhs=lambda c, a, k: c.A_hat**3 - c.Astar_hat**3,
-            terms=lambda c, a, k: (
-                c.A_hat**2, c.dn * c.L_hat, c.A_hat**3, c.Astar_hat**3,
-            ),
-            homogeneity_fn=lambda a, k: 0,
+            sides=lambda c, a, k: (_dimless(c, 1), (1, (c.A_hat**3, -c.Astar_hat**3))),
         ),
         CatalogEntry(
             id="T52", citation="Eq. 5.11", kinds=CYCLIC_ONLY, direction=Direction.LE,
-            params=no_params,
+            params=no_params, homogeneity_fn=lambda a, k: 2,
             formula="A - L*R*cos(pi/n) + d_n*(R*cos(pi/n))^2 <= 0",
-            lhs=lambda c, a, k: c.A - c.L * c.R * c.cos_pin
-            + c.dn * (c.R * c.cos_pin) ** 2,
-            rhs=lambda c, a, k: c.L * 0,
-            terms=lambda c, a, k: (
-                c.A, c.L * c.R * c.cos_pin, c.dn * (c.R * c.cos_pin) ** 2,
-            ),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: ((1, (
+                c.A, -c.L * c.R * c.cos_pin, c.dn * (c.R * c.cos_pin) ** 2)), (1, ())),
         ),
         CatalogEntry(
             id="T53", citation="Eq. 5.15", kinds=CYCLIC_ONLY, direction=Direction.GE,
-            params=no_params,
+            params=no_params, homogeneity_fn=lambda a, k: 2,
             formula="L^2 - 4*d_n*A >= (1/R^2)*(A* - A)^2",
-            lhs=lambda c, a, k: c.L**2 - 4 * c.dn * c.A,
-            rhs=lambda c, a, k: (c.Astar_hat - c.A_hat) ** 2 * c.R**2,
-            terms=lambda c, a, k: (
-                c.L**2, 4 * c.dn * c.A, (c.Astar_hat - c.A_hat) ** 2 * c.R**2,
-            ),
-            homogeneity_fn=lambda a, k: 2,
+            sides=lambda c, a, k: (
+                _deficit(c, 1), (1, ((c.Astar_hat - c.A_hat) ** 2 * c.R**2,))),
         ),
     ]
     return tuple(entries)
@@ -447,40 +311,36 @@ def sign_flipped(entry_or_id, new_id: str | None = None) -> CatalogEntry:
     The global registry is never mutated.
     """
     e = _resolve(entry_or_id)
-    flipped = Direction.LE if e.direction == Direction.GE else Direction.GE
-    return CatalogEntry(
-        id=new_id or f"{e.id}-FLIPPED",
-        citation=e.citation,
-        kinds=e.kinds,
-        direction=flipped,
-        params=e.params,
-        formula=f"flipped({e.formula})",
-        lhs=e.lhs,
-        rhs=e.rhs,
-        terms=e.terms,
-        homogeneity_fn=e.homogeneity_fn,
+    return replace(
+        e, id=new_id or f"{e.id}-FLIPPED", formula=f"flipped({e.formula})",
+        direction=Direction.LE if e.direction == Direction.GE else Direction.GE,
     )
 
 
-def _context_from_arrays(kind: PolygonKind, radius: float, pts: np.ndarray) -> EvalContext:
-    m = measure_arrays(kind, radius, pts)
-    n = pts.shape[1]
-    return EvalContext(
-        n=n, R=radius, L=m["L"], A=m["A"], Lstar=m["Lstar"], Astar=m["Astar"],
-        dn=m["dn"], tan_pin=np.tan(np.pi / n), cos_pin=np.cos(np.pi / n),
-    )
+def _checked_params(entry: CatalogEntry, kind: PolygonKind, alpha, k):
+    if not entry.applies_to(kind):
+        raise KindMismatch(f"entry {entry.id} does not apply to {kind.value} polygons")
+    return entry.params.validate(alpha, k)
 
 
-def _context_exact(kind: PolygonKind, radius, angles, dps: int) -> EvalContext:
-    m = highprec.measure_exact(kind, radius, angles, dps=dps)
-    return EvalContext(
-        n=m["n"], R=m["R"], L=m["L"], A=m["A"], Lstar=m["Lstar"],
-        Astar=m["Astar"], dn=m["dn"], tan_pin=m["tan_pin"], cos_pin=m["cos_pin"],
-    )
+def _evaluate_sides(entry: CatalogEntry, ctx: EvalContext, alpha, k, maximum):
+    """(lhs, rhs, slack, scale) of an entry on a context of any backend.
 
-
-def _signed(entry: CatalogEntry, lhs, rhs):
-    return (lhs - rhs) if entry.direction == Direction.GE else (rhs - lhs)
+    ``maximum`` is the backend's two-argument max (``np.maximum`` for
+    arrays, ``max`` for mpf); scale is max(1, every |factor * term|).
+    """
+    values, scale = [], 1
+    for factor, terms in entry.sides(ctx, alpha, k):
+        value = sum(terms[1:], terms[0]) if terms else 0
+        if factor != 1:
+            value = factor * value
+            terms = [factor * t for t in terms]
+        for t in terms:
+            scale = maximum(scale, abs(t))
+        values.append(value)
+    lhs, rhs = values
+    slack = (lhs - rhs) if entry.direction == Direction.GE else (rhs - lhs)
+    return lhs, rhs, slack, scale
 
 
 def evaluate_batch(
@@ -496,17 +356,11 @@ def evaluate_batch(
     Returns arrays lhs, rhs, slack, scale plus the validated (alpha, k).
     """
     entry = _resolve(entry_or_id)
-    if not entry.applies_to(kind):
-        raise KindMismatch(f"entry {entry.id} does not apply to {kind.value} polygons")
-    a, kk = entry.params.validate(alpha, k)
-    ctx = _context_from_arrays(kind, radius, np.asarray(pts, dtype=float))
-    lhs = np.asarray(entry.lhs(ctx, a, kk), dtype=float)
-    rhs = np.asarray(entry.rhs(ctx, a, kk), dtype=float)
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    slack = _signed(entry, lhs, rhs)
-    scale = np.ones_like(slack)
-    for term in entry.terms(ctx, a, kk):
-        scale = np.maximum(scale, np.abs(np.asarray(term, dtype=float)))
+    a, kk = _checked_params(entry, kind, alpha, k)
+    ctx = measure_arrays(kind, radius, np.asarray(pts, dtype=float))
+    lhs, rhs, slack, scale = _evaluate_sides(entry, ctx, a, kk, np.maximum)
+    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float),
+                                   np.asarray(rhs, dtype=float))
     return {"lhs": lhs, "rhs": rhs, "slack": slack, "scale": scale,
             "alpha": a, "k": kk}
 
@@ -521,17 +375,8 @@ def evaluate(
     entry = _resolve(entry_or_id)
     out = evaluate_batch(entry, polygon.kind, polygon.radius,
                          polygon.angles.to_array()[None, :], alpha, k)
-    lhs = float(out["lhs"][0])
-    rhs = float(out["rhs"][0])
-    slack = float(out["slack"][0])
-    return SlackRecord(
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=abs(slack) <= scale_tolerance(lhs, rhs, EQUALITY_RTOL),
-        scale=float(out["scale"][0]),
-        alpha=out["alpha"], k=out["k"], entry_id=entry.id,
-        n=polygon.angles.n, radius=polygon.radius,
-        angle_hash=polygon.angles.angle_hash(),
-    )
+    return _record(entry, polygon, out["alpha"], out["k"],
+                   *(out[key][0] for key in ("lhs", "rhs", "slack", "scale")))
 
 
 def evaluate_exact(
@@ -543,25 +388,25 @@ def evaluate_exact(
 ) -> SlackRecord:
     """Slack recomputed in high precision; adjudicates near-equality cases.
 
-    The returned fields are correctly rounded floats of mpf intermediates,
-    so cancellation in the lhs/rhs differences no longer limits accuracy.
+    Measurement and formula both run at ``dps`` digits, and the returned
+    fields are correctly rounded floats of the mpf results, so cancellation
+    in the lhs/rhs differences no longer limits accuracy.
     """
     entry = _resolve(entry_or_id)
-    if not entry.applies_to(polygon.kind):
-        raise KindMismatch(f"entry {entry.id} does not apply to {polygon.kind.value} polygons")
-    a, kk = entry.params.validate(alpha, k)
-    ctx = _context_exact(polygon.kind, polygon.radius, polygon.angles.values, dps)
-    lhs = entry.lhs(ctx, a, kk)
-    rhs = entry.rhs(ctx, a, kk)
-    slack = _signed(entry, lhs, rhs)
-    scale = 1.0
-    for term in entry.terms(ctx, a, kk):
-        scale = max(scale, abs(float(term)))
-    lhs_f, rhs_f = float(lhs), float(rhs)
+    a, kk = _checked_params(entry, polygon.kind, alpha, k)
+    with mp.workdps(dps):
+        ctx = highprec.measure_exact(polygon.kind, polygon.radius,
+                                     polygon.angles.values, dps=dps)
+        return _record(entry, polygon, a, kk, *_evaluate_sides(entry, ctx, a, kk, max))
+
+
+def _record(entry: CatalogEntry, polygon: PolygonModel, alpha, k,
+            lhs, rhs, slack, scale) -> SlackRecord:
+    lhs, rhs, slack = float(lhs), float(rhs), float(slack)
     return SlackRecord(
-        lhs=lhs_f, rhs=rhs_f, slack=float(slack),
-        equality=abs(float(slack)) <= scale_tolerance(lhs_f, rhs_f, EQUALITY_RTOL),
-        scale=scale, alpha=a, k=kk, entry_id=entry.id,
+        lhs=lhs, rhs=rhs, slack=slack,
+        equality=abs(slack) <= scale_tolerance(lhs, rhs, EQUALITY_RTOL),
+        scale=float(scale), alpha=alpha, k=k, entry_id=entry.id,
         n=polygon.angles.n, radius=polygon.radius,
         angle_hash=polygon.angles.angle_hash(),
     )

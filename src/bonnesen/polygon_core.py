@@ -176,44 +176,97 @@ class GeometricSummary:
 
 def measure(p: PolygonModel) -> GeometricSummary:
     """Exact closed-form perimeter/area for the polygon and its regular twin."""
-    out = measure_arrays(p.kind, p.radius, p.angles.to_array()[None, :])
+    ctx = measure_arrays(p.kind, p.radius, p.angles.to_array()[None, :])
+    L, A = ctx.L[0], ctx.A[0]
     return GeometricSummary(
-        perimeter=float(out["L"][0]),
-        area=float(out["A"][0]),
-        regular_perimeter=float(out["Lstar"]),
-        regular_area=float(out["Astar"]),
-        dn=float(out["dn"]),
-        deficit=float(out["deficit"][0]),
+        perimeter=float(L),
+        area=float(A),
+        regular_perimeter=float(ctx.Lstar),
+        regular_area=float(ctx.Astar),
+        dn=float(ctx.dn),
+        deficit=float(L * L - 4.0 * ctx.dn * A),
     )
 
 
-def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> dict:
+@dataclass(frozen=True)
+class EvalContext:
+    """Measured quantities the catalog formulas need: float, array or mpf.
+
+    Built by :func:`eval_context` for every number backend.
+    """
+
+    R: object
+    L: object
+    A: object
+    Lstar: object
+    Astar: object
+    dn: object
+    tan_pin: object
+    cos_pin: object
+
+    @property
+    def L_hat(self):
+        return self.L / (2 * self.R)
+
+    @property
+    def Lstar_hat(self):
+        return self.Lstar / (2 * self.R)
+
+    @property
+    def A_hat(self):
+        return self.A / (self.R * self.R)
+
+    @property
+    def Astar_hat(self):
+        return self.Astar / (self.R * self.R)
+
+
+def eval_context(kind: PolygonKind, n: int, R, sum_L, sum_A,
+                 tan_pin, sin_pin, cos_pin) -> EvalContext:
+    """Closed-form measurement from a backend's sums and trig values.
+
+    ``sum_L`` and ``sum_A`` are the per-row sums with L = 2 R sum_L and
+    A = R^2 sum_A: sum tan(theta) for both when tangential, sum sin(theta)
+    and sum sin(theta) cos(theta) when cyclic. The trig values are those
+    of pi/n. Any backend whose numbers support + - * / and ** works.
+    """
+    r2 = R * R
+    if kind == PolygonKind.TANGENTIAL:
+        Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
+    else:
+        Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
+    return EvalContext(
+        R=R, L=2 * R * sum_L, A=r2 * sum_A, Lstar=Lstar, Astar=Astar,
+        dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin,
+    )
+
+
+def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> EvalContext:
     """Vectorized measurement over a batch of angle rows.
 
-    ``angles`` has shape (m, n); returns per-row arrays L, A, deficit plus
-    the shared scalars Lstar, Astar, dn. Used by the catalog sweeps and the
-    grid oracle; :func:`measure` is the single-polygon wrapper.
+    ``angles`` has shape (m, n); the context holds per-row arrays L, A and
+    the shared scalars. Used by the catalog sweeps and the grid oracle;
+    :func:`measure` is the single-polygon wrapper.
     """
     angles = np.asarray(angles, dtype=float)
-    m, n = angles.shape
+    n = angles.shape[1]
     if n < 3:
         raise InvalidN(f"geometric measurement needs n >= 3, got {n}")
-    d = dn(n)
-    r2 = radius * radius
     if kind == PolygonKind.TANGENTIAL:
-        s = np.tan(angles).sum(axis=1)
-        L = 2.0 * radius * s
-        A = r2 * s
-        Lstar = 2.0 * n * radius * math.tan(math.pi / n)
-        Astar = n * r2 * math.tan(math.pi / n)
+        sum_L = sum_A = np.tan(angles).sum(axis=1)
     else:
         sin = np.sin(angles)
-        L = 2.0 * radius * sin.sum(axis=1)
-        A = r2 * (sin * np.cos(angles)).sum(axis=1)
-        Lstar = 2.0 * n * radius * math.sin(math.pi / n)
-        Astar = n * r2 * math.sin(math.pi / n) * math.cos(math.pi / n)
-    deficit = L * L - 4.0 * d * A
-    return {"L": L, "A": A, "Lstar": Lstar, "Astar": Astar, "dn": d, "deficit": deficit}
+        sum_L, sum_A = sin.sum(axis=1), (sin * np.cos(angles)).sum(axis=1)
+    pin = math.pi / n
+    return eval_context(kind, n, radius, sum_L, sum_A,
+                        math.tan(pin), math.sin(pin), math.cos(pin))
+
+
+def seed_parts(seed) -> list[int]:
+    """A seed or a list of seeds as a list, ready for a substream suffix."""
+    if isinstance(seed, (list, tuple)):
+        return [int(s) for s in seed]
+    return [int(seed)]
 
 
 def _check_margin_window(n: int, total: float, margin: float, bound: float) -> None:

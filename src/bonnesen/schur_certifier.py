@@ -426,28 +426,3 @@ def linear_function(n: int, domain: tuple[float, float] = (0.0, math.pi / 2)) ->
     return SymmetricFunction(arity=n, domain=domain, evaluate=evaluate,
                              partial=partial, name=f"linear[n={n}]")
 
-
-def reverse_gap_gradient_factor(
-    fam: FunctionFamily, n: int, alpha: int, k: int, point, reading: str = "power_n"
-) -> float:
-    """Common gradient factor of the reverse-gap Schur condition.
-
-    The factor is 2a P^(2a-1) - C a P^(a-1) - k a P^(ka-1); its negativity
-    drives the Schur-concavity of the reverse gap. The middle coefficient C
-    admits two readings: ``power_n`` uses C = (n s)^a, the coefficient
-    differentiation of the gap function produces, while ``linear_n`` uses
-    C = n s^a. On the built-in grid (P > 1) both readings leave the factor
-    strictly negative; this helper exists so tests can record that fact.
-    """
-    a = int(alpha)
-    kk = int(k)
-    pts = np.asarray(point, dtype=float)
-    P = float(np.asarray(fam.f(pts), dtype=float).sum())
-    s = float(fam.f(pts.mean()))
-    if reading == "power_n":
-        c_mid = (n * s) ** a
-    elif reading == "linear_n":
-        c_mid = n * s**a
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
-    return 2 * a * P ** (2 * a - 1) - c_mid * a * P ** (a - 1) - kk * a * P ** (kk * a - 1)

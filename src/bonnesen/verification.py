@@ -22,16 +22,11 @@ import numpy as np
 
 from . import extremal_search, inequality_catalog as catalog, schur_certifier
 from .analytic_inequalities import family
-from .polygon_core import AngleVector, PolygonKind, PolygonModel, sample_simplex_batch
+from .polygon_core import (AngleVector, PolygonKind, PolygonModel, sample_simplex_batch,
+                           seed_parts)
 from .records import EQUALITY_RTOL, VIOLATION_RTOL
 
 _KIND_INDEX = {PolygonKind.TANGENTIAL: 0, PolygonKind.CYCLIC: 1}
-
-
-def _seed_parts(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [int(s) for s in seed]
-    return [int(seed)]
 
 
 def verify_sweep(
@@ -63,23 +58,20 @@ def verify_sweep(
         for n in n_set:
             pts = sample_simplex_batch(
                 n, math.pi, margin, samples,
-                seed=_seed_parts(seed) + [_KIND_INDEX[kind], n],
+                seed=seed_parts(seed) + [_KIND_INDEX[kind], n],
             )
             for entry in entries:
                 for a, kk in entry.params.combos(alpha_set, k_set):
                     out = catalog.evaluate_batch(entry, kind, radius, pts, a, kk)
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]
-                    tol = tolerance_rtol * np.maximum(
-                        1.0, np.maximum(np.abs(lhs), np.abs(rhs))
-                    )
+                    side_scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+                    tol = tolerance_rtol * side_scale
                     viol_idx = np.nonzero(slack < -tol)[0]
                     if high_precision and viol_idx.size:
                         viol_idx = _confirm_exact(
                             entry, kind, radius, pts, a, kk, viol_idx, tolerance_rtol
                         )
-                    eq_tol = EQUALITY_RTOL * np.maximum(
-                        1.0, np.maximum(np.abs(lhs), np.abs(rhs))
-                    )
+                    eq_tol = EQUALITY_RTOL * side_scale
                     i_min = int(np.argmin(slack))
                     argmin_angles = AngleVector(
                         values=tuple(float(v) for v in pts[i_min]), total=math.pi
@@ -143,7 +135,7 @@ def certification_grid(
     """
     rows: list[dict] = []
     mismatches = 0
-    base = _seed_parts(seed)
+    base = seed_parts(seed)
     for n in n_set:
         for a in alpha_set:
             for name in CONVEX_SIDE_FAMILIES:
@@ -218,7 +210,7 @@ def search_sweep(
     """
     rows: list[dict] = []
     anomalies = 0
-    base = _seed_parts(seed)
+    base = seed_parts(seed)
     for e_idx, entry in enumerate(catalog.list_entries()):
         for kind in sorted(entry.kinds, key=lambda kk: kk.value):
             if kind not in kinds:

@@ -172,6 +172,13 @@ class TestReportCommand:
         bad.write_text("not json at all")
         assert run(["report", str(bad)]) == 2
 
+    @pytest.mark.parametrize("doc", [[1, 2], {"results": 5}])
+    def test_report_breaking_schema_is_usage_error(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["report", str(bad)]) == 2
+        assert "bonnesen-report/1" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_then_flag_precedence(self, tmp_path, capsys):
@@ -195,6 +202,18 @@ class TestConfigFile:
 
     def test_unreadable_config_is_usage_error(self, capsys):
         assert run(["verify", "--config", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"n": "34"}, "n"),
+        ({"samples": 1e3}, "samples"),
+        ({"kinds": ["square"]}, "kinds"),
+        ({"seed": 1.5}, "seed"),
+    ])
+    def test_bad_config_value_is_usage_error(self, cfg, key, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["verify", "--config", str(path)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
 
 
 class TestDeterminismHashHelper:

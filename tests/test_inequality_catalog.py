@@ -15,9 +15,12 @@ from bonnesen import (
     evaluate,
     evaluate_all,
     evaluate_exact,
+    family,
     get_entry,
     list_entries,
     make_angle_vector,
+    power_gap_reverse_slack,
+    power_gap_slack,
     regular_angles,
     sample_simplex_batch,
     sign_flipped,
@@ -248,6 +251,35 @@ class TestCatalogProperties:
         rec = evaluate_exact("BASIC", tangential(av))
         assert rec.slack > 0.0
         assert rec.slack == pytest.approx(288 * eps**2, rel=0.05)
+
+    def test_exact_formula_runs_at_working_precision(self):
+        # The slack, about 1.6e-16, is far below the 15-digit rounding of
+        # the lhs terms: only a formula evaluated at the working precision
+        # resolves it instead of cancelling to 0.
+        eps = 1e-8
+        angles = (PI / 3 + eps, PI / 3, PI / 3 - eps)
+        rec = evaluate_exact("BASIC", tangential(AngleVector(angles, PI)))
+        lhs, _ = oracle.entry_values("BASIC", "tangential", angles)
+        assert rec.slack == pytest.approx(float(lhs), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_tangential_gaps_match_analytic_layer(self, n):
+        # On tangential polygons A/R^2 = L/2R = sum tan(theta) and
+        # d_n = n tan(pi/n), so T31B is the tan family's power gap and
+        # T41B its reverse gap, term for term.
+        tan = family("tan")
+        for row in sample_simplex_batch(n, PI, 1e-3, 20, seed=[73, n]):
+            av = AngleVector(tuple(row), PI)
+            for a in (1, 2, 3):
+                pairs = [(evaluate("T31B", tangential(av), alpha=a),
+                          power_gap_slack(tan, av, a))]
+                pairs += [(evaluate("T41B", tangential(av), alpha=a, k=k),
+                           power_gap_reverse_slack(tan, av, a, k)) for k in (2, 3)]
+                for rec, gap in pairs:
+                    tol = 1e-12 * rec.scale
+                    assert rec.lhs == pytest.approx(gap.lhs, abs=tol), (rec.entry_id, a)
+                    assert rec.rhs == pytest.approx(gap.rhs, abs=tol), (rec.entry_id, a)
+                    assert rec.slack == pytest.approx(gap.slack, abs=tol), (rec.entry_id, a)
 
     def test_every_entry_matches_independent_formula(self):
         # Dual-route check: lhs and rhs of every entry, recomputed with

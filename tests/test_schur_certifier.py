@@ -27,7 +27,6 @@ from bonnesen import (
 from bonnesen.schur_certifier import (
     finite_difference_partial,
     partial_value,
-    reverse_gap_gradient_factor,
 )
 
 PI = math.pi
@@ -222,20 +221,3 @@ class TestJensenConsequence:
             if np.abs(row - sigma).max() > 1e-6:
                 assert float(np.asarray(fam.f(row)).sum()) > center
 
-
-class TestReverseGradientFactor:
-    @pytest.mark.parametrize("reading", ["power_n", "linear_n"])
-    def test_both_coefficient_readings_negative_on_grid(self, reading):
-        # The two readings of the middle coefficient differ by a factor
-        # n^(a-1) on s^a; with power sums above 1 both leave the factor
-        # strictly negative, so the concavity classification is insensitive
-        # to the choice.
-        for name in ("tan", "csc"):
-            fam = family(name)
-            for n in (3, 5, 8):
-                pts = sample_simplex_batch(n, PI, 1e-3, 100, seed=[41, n])
-                for alpha in (1, 2, 3):
-                    for k in (2, 3):
-                        vals = [reverse_gap_gradient_factor(fam, n, alpha, k, row, reading)
-                                for row in pts]
-                        assert max(vals) < 0.0
