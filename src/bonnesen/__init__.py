@@ -49,7 +49,6 @@ from .polygon_core import (
     GeometricSummary,
     PolygonKind,
     PolygonModel,
-    dn,
     make_angle_vector,
     measure,
     regular_angles,

@@ -10,9 +10,11 @@ Subcommands::
 
 Exit codes: 0 when every check passes, 1 on a mathematical anomaly
 (violation, classification mismatch, misplaced minimum), 2 on usage or
-config errors. Flag values override config-file values override defaults;
-the config file is JSON and its default path can be set through the
-BONNESEN_CONFIG environment variable.
+config errors and on any error raised for the inputs given, such as an
+infeasible margin. A flag a subcommand does not use is refused. Flag
+values override config-file values override defaults; the config file is
+JSON and its default path can be set through the BONNESEN_CONFIG
+environment variable.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_samples=True):
+    def add_common(p, unused=()):
+        """The shared flags, except those named in ``unused``."""
         p.add_argument("--n", type=int, nargs="+", default=None,
                        help="polygon side counts (default 3..8)")
         p.add_argument("--alpha", type=int, nargs="+", default=None,
@@ -80,14 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kinds", nargs="+", default=None,
                        choices=["tangential", "cyclic"],
                        help="polygon kinds to sweep (default both)")
-        if with_samples:
+        if "samples" not in unused:
             p.add_argument("--samples", type=int, default=None,
                            help="samples per configuration (default 10000)")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 7)")
-        p.add_argument("--margin", type=float, default=None,
-                       help="angle clearance from the domain endpoints")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="violation tolerance, relative (default 1e-10)")
+        if "margin" not in unused:
+            p.add_argument("--margin", type=float, default=None,
+                           help="angle clearance from the domain endpoints")
+        if "tolerance" not in unused:
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="violation tolerance, relative (default 1e-10)")
         p.add_argument("--precision", choices=["standard", "high"], default=None,
                        help="re-adjudicate violations with mpf arithmetic when high")
         p.add_argument("--out", default=None, help="report output path")
@@ -103,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "reporting and must make the run exit 1")
 
     p_certify = sub.add_parser("certify", help="Schur classification sweep")
-    add_common(p_certify)
+    add_common(p_certify, unused=("margin", "tolerance"))
 
     p_search = sub.add_parser("search", help="slack minimization per entry")
-    add_common(p_search, with_samples=False)
+    add_common(p_search, unused=("samples", "tolerance"))
     p_search.add_argument("--starts", type=int, default=None,
                           help="optimizer restarts per entry (default 20)")
 
@@ -244,6 +249,7 @@ def cmd_search(args) -> int:
         starts=cfg["starts"],
         kinds=_kinds(cfg),
         grid_resolution=cfg["grid_resolution"],
+        margin=cfg["margin"],
     )
     doc = reporting.ReportDocument(
         command="search", config=_public_config(cfg), results=rows,
@@ -354,12 +360,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except BonnesenError as exc:  # bad input; anomalies are counted, not raised
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BonnesenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

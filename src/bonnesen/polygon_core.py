@@ -135,16 +135,6 @@ def regular_angles(n: int, total: float, bound: float = GEOMETRIC_BOUND) -> Angl
     return AngleVector(values=(sigma,) * n, total=float(total))
 
 
-def dn(n: int) -> float:
-    """Polygon isoperimetric constant n * tan(pi/n).
-
-    Strictly decreasing in n; tends to pi from above as n grows.
-    """
-    if n < 3:
-        raise InvalidN(f"polygon constant needs n >= 3, got {n}")
-    return n * math.tan(math.pi / n)
-
-
 @dataclass(frozen=True)
 class PolygonModel:
     """A tangential or cyclic polygon: kind, circle radius, half angles."""

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import extremal_search, inequality_catalog as catalog, schur_certifier
 from .analytic_inequalities import family
-from .polygon_core import (AngleVector, PolygonKind, PolygonModel, sample_simplex_batch,
-                           seed_parts)
+from .polygon_core import (DEFAULT_MARGIN, AngleVector, PolygonKind, PolygonModel,
+                           sample_simplex_batch, seed_parts)
 from .records import EQUALITY_RTOL, VIOLATION_RTOL
 
 _KIND_INDEX = {PolygonKind.TANGENTIAL: 0, PolygonKind.CYCLIC: 1}
@@ -197,6 +197,7 @@ def search_sweep(
     kinds=(PolygonKind.TANGENTIAL, PolygonKind.CYCLIC),
     grid_resolution: int = 100,
     grid_n_max: int = 4,
+    margin: float = DEFAULT_MARGIN,
     slack_tol: float = 1e-8,
     distance_tol: float = 1e-3,
     miss_tol: float = 1e-6,
@@ -224,6 +225,7 @@ def search_sweep(
                 res = extremal_search.minimize_slack(
                     entry, n, alpha=a, k=kk, starts=starts,
                     seed=base + [e_idx, _KIND_INDEX[kind], n], kind=kind,
+                    margin=margin,
                 )
                 row = {
                     "entry_id": entry.id,
@@ -243,7 +245,7 @@ def search_sweep(
                 if n <= grid_n_max:
                     scan = extremal_search.grid_scan(
                         entry, n, alpha=a, k=kk,
-                        resolution=grid_resolution, kind=kind,
+                        resolution=grid_resolution, kind=kind, margin=margin,
                     )
                     row["grid_min_slack"] = float(scan.grid_min_slack)
                     row["grid_step"] = float(scan.step)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism, config."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -96,6 +97,14 @@ class TestVerifyCommand:
     def test_bad_n_is_usage_error(self, capsys):
         assert run(["verify", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--samples", "10"],
+        ["search", "--kinds", "cyclic", "--starts", "1"],
+    ])
+    def test_infeasible_margin_is_usage_error(self, command, capsys):
+        assert run(command + ["--n", "8", "--margin", "0.45"]) == 2
+        assert "margin infeasible" in capsys.readouterr().err
+
     def test_csv_output_columns(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         run(["verify", "--n", "3", "--samples", "100", "--format", "csv",
@@ -133,10 +142,29 @@ class TestCertifyCommand:
     def test_zero_samples_usage_error(self, capsys):
         assert run(["certify", "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--margin", "--tolerance"])
+    def test_unused_flag_is_usage_error(self, flag, capsys):
+        assert run(["certify", "--n", "3", "--samples", "50", flag, "0.1"]) == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def test_zero_starts_usage_error(self, capsys):
         assert run(["search", "--starts", "0"]) == 2
+
+    def test_unused_flag_is_usage_error(self, capsys):
+        argv = ["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"]
+        assert run(argv + ["--tolerance", "1e-9"]) == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_margin_reaches_the_search(self, tmp_path, capsys):
+        out = tmp_path / "search.json"
+        code = run(["search", "--n", "3", "--kinds", "cyclic", "--starts", "1",
+                    "--margin", "0.1", "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]
+        assert rows and all(r["grid_step"] == pytest.approx((math.pi - 0.3) / 100)
+                            for r in rows)
 
     def test_small_search_passes(self, tmp_path, capsys):
         out = tmp_path / "search.json"

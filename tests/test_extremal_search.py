@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bonnesen import (
+    DEFAULT_MARGIN,
     PolygonKind,
     errors,
     falsify,
@@ -13,6 +14,7 @@ from bonnesen import (
     minimize_slack,
     sign_flipped,
 )
+from bonnesen import extremal_search
 from bonnesen.extremal_search import lattice_point_count
 from bonnesen.inequality_catalog import evaluate_batch, get_entry
 
@@ -147,3 +149,116 @@ class TestFalsify:
         b = falsify(sign_flipped("T52"), 3, budget_evals=5_000, seed=4)
         assert a is not None and b is not None
         assert a.angles.values == b.angles.values
+
+
+def _one_simplex_descent(fn, x0, xtol, max_iter):
+    """Reference downhill simplex on one start, one point per ``fn`` call.
+
+    Returns (x, f, iterations, converged, evals); the lockstep driver must
+    reproduce it bit for bit on every lane.
+    """
+    dim = x0.size
+    verts = [x0.copy()]
+    for i in range(dim):
+        v = x0.copy()
+        v[i] += 0.1 if v[i] == 0.0 else 0.1 * abs(v[i]) + 0.05
+        verts.append(v)
+    verts = np.asarray(verts)
+    fvals = np.asarray([fn(v) for v in verts])
+    evals = dim + 1
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
+        diameter = float(np.max(np.linalg.norm(verts[1:] - verts[0], axis=1)))
+        if diameter < xtol:
+            converged = True
+            break
+        centroid = verts[:-1].mean(axis=0)
+        xr = centroid + 1.0 * (centroid - verts[-1])
+        fr = fn(xr)
+        evals += 1
+        if fr < fvals[0]:
+            xe = centroid + 2.0 * (xr - centroid)
+            fe = fn(xe)
+            evals += 1
+            if fe < fr:
+                verts[-1], fvals[-1] = xe, fe
+            else:
+                verts[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            verts[-1], fvals[-1] = xr, fr
+        else:
+            inside = fr >= fvals[-1]
+            base = verts[-1] if inside else xr
+            fbase = fvals[-1] if inside else fr
+            xc = centroid + 0.5 * (base - centroid)
+            fc = fn(xc)
+            evals += 1
+            if fc < fbase:
+                verts[-1], fvals[-1] = xc, fc
+            else:
+                for j in range(1, dim + 1):
+                    verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
+                    fvals[j] = fn(verts[j])
+                evals += dim
+    best = int(np.argmin(fvals))
+    return verts[best], float(fvals[best]), it, converged, evals
+
+
+class TestLockstepWidth:
+    """A start's descent is the same whatever other starts share its batch."""
+
+    @pytest.mark.parametrize("entry_id,kind,n,max_iter", [
+        ("BASIC", PolygonKind.TANGENTIAL, 3, 4000),
+        ("T53", PolygonKind.CYCLIC, 4, 4000),
+        ("C42B", PolygonKind.TANGENTIAL, 5, 4000),
+        ("T41A", PolygonKind.TANGENTIAL, 5, 40),
+    ])
+    def test_lanes_match_single_descents(self, entry_id, kind, n, max_iter):
+        entry = get_entry(entry_id)
+        alpha, k = entry.params.validate(None, None)
+        fn = extremal_search._objective(entry, kind, n, 1.0, alpha, k, DEFAULT_MARGIN)
+        x0 = [extremal_search._start_point(11, i, n, DEFAULT_MARGIN) for i in range(6)]
+
+        def descend(starts):
+            lanes = extremal_search._Lanes(fn, n - 1, 1e-10, max_iter)
+            for i in starts:
+                lanes.add(i, x0[i])
+            return [(d.z.tolist(), d.f, d.iterations, d.converged, d.evals)
+                    for d in lanes.run()]
+
+        def reference(i):
+            z, f, iterations, converged, evals = _one_simplex_descent(
+                lambda row: float(fn(row[None, :])[0]), x0[i], 1e-10, max_iter)
+            return z.tolist(), f, iterations, converged, evals
+
+        wide = descend(range(6))
+        assert wide == [d for i in range(6) for d in descend([i])]
+        assert wide == [reference(i) for i in range(6)]
+
+    @pytest.mark.parametrize("entry,n,budget", [
+        (get_entry("T31A"), 3, 2000),
+        (get_entry("C35"), 4, 2000),
+        (sign_flipped("T52"), 3, 5000),
+    ])
+    def test_falsify_matches_one_lane(self, entry, n, budget, monkeypatch):
+        """Same verdict, from the same starts checked in the same order."""
+        evaluate = extremal_search.catalog.evaluate
+
+        def run(lanes):
+            checked = []
+
+            def recording(e, poly, alpha, k):
+                checked.append(poly.angles.values)
+                return evaluate(e, poly, alpha, k)
+
+            monkeypatch.setattr(extremal_search, "FALSIFY_LANES", lanes)
+            monkeypatch.setattr(extremal_search.catalog, "evaluate", recording)
+            return falsify(entry, n, budget_evals=budget, seed=4), checked
+
+        width = extremal_search.FALSIFY_LANES
+        one, wide = run(1), run(width)
+        assert width > 1 and wide == one
+        assert (one[0] is None) == (not entry.id.endswith("FLIPPED"))

@@ -212,6 +212,27 @@ class TestCatalogProperties:
                     assert r2.slack == pytest.approx(
                         2.0**degree * r1.slack, rel=1e-10), (entry.id, a, k)
 
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_homogeneity_fn_matches_radius_scaling(self, entry_id):
+        """Slack at 2R is 2**degree times the slack at R, within 1e-12 x scale.
+
+        Where the declared degree is None, the two sides must really scale
+        by different powers of R.
+        """
+        entry = get_entry(entry_id)
+        av = make_angle_vector([0.5, 0.9, 1.1, PI - 2.5], PI)
+        for kind in entry.kinds:
+            for a, k in entry.params.combos((1, 2, 3), (2, 3, 4)):
+                degree = entry.homogeneity_degree(a, k)
+                r1 = evaluate(entry, PolygonModel(kind, 0.8, av), a, k)
+                r2 = evaluate(entry, PolygonModel(kind, 1.6, av), a, k)
+                case = (kind.value, a, k, degree)
+                if degree is None:
+                    assert not math.isclose(r2.lhs / r1.lhs, r2.rhs / r1.rhs,
+                                            rel_tol=1e-6), case
+                else:
+                    assert abs(r2.slack - 2.0**degree * r1.slack) <= 1e-12 * r2.scale, case
+
     def test_scaled_area_bound_matches_perimeter_bound(self):
         # For circumscribed polygons A = R L / 2 exactly, so the area-form
         # right side coincides with the perimeter-form right side.

@@ -10,7 +10,6 @@ from bonnesen import (
     AngleVector,
     PolygonKind,
     PolygonModel,
-    dn,
     errors,
     make_angle_vector,
     measure,
@@ -72,28 +71,14 @@ class TestRegularAngles:
         assert av.sigma == pytest.approx(0.25)
 
 
-class TestDn:
-    def test_square(self):
-        assert dn(4) == pytest.approx(4.0, rel=1e-15)
-
-    def test_triangle(self):
-        assert dn(3) == pytest.approx(3.0 * math.sqrt(3.0), rel=1e-15)
-
-    def test_hexagon(self):
-        assert dn(6) == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
-
-    def test_rejects_small_n(self):
-        with pytest.raises(errors.InvalidN):
-            dn(2)
-
-    def test_decreasing_to_pi(self):
-        vals = [dn(n) for n in range(3, 60)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > PI
-        assert dn(10**6) == pytest.approx(PI, rel=1e-10)
-
-
 class TestMeasure:
+    @pytest.mark.parametrize("n,expected", [
+        (3, 3.0 * math.sqrt(3.0)), (4, 4.0), (6, 2.0 * math.sqrt(3.0))],
+        ids=["triangle", "square", "hexagon"])
+    def test_polygon_constant(self, n, expected):
+        p = PolygonModel(PolygonKind.TANGENTIAL, 1.0, regular_angles(n, PI))
+        assert measure(p).dn == pytest.approx(expected, rel=1e-15)
+
     def test_square_about_unit_circle(self):
         p = PolygonModel(PolygonKind.TANGENTIAL, 1.0, regular_angles(4, PI))
         m = measure(p)
