@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "tolerance" not in unused:
             p.add_argument("--tolerance", type=float, default=None,
                            help="violation tolerance, relative (default 1e-10)")
-        p.add_argument("--precision", choices=["standard", "high"], default=None,
-                       help="re-adjudicate violations with mpf arithmetic when high")
+        if "precision" not in unused:
+            p.add_argument("--precision", choices=["standard", "high"], default=None,
+                           help="re-adjudicate violations with mpf arithmetic when high")
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=["json", "csv"], default=None,
                        help="report format (default json)")
@@ -108,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "reporting and must make the run exit 1")
 
     p_certify = sub.add_parser("certify", help="Schur classification sweep")
-    add_common(p_certify, unused=("margin", "tolerance"))
+    add_common(p_certify, unused=("margin", "tolerance", "precision"))
 
     p_search = sub.add_parser("search", help="slack minimization per entry")
-    add_common(p_search, unused=("samples", "tolerance"))
+    add_common(p_search, unused=("samples", "tolerance", "precision"))
     p_search.add_argument("--starts", type=int, default=None,
                           help="optimizer restarts per entry (default 20)")
 
@@ -231,7 +232,7 @@ def cmd_certify(args) -> int:
     )
     doc = reporting.ReportDocument(
         command="certify", config=_public_config(cfg), results=rows,
-        seed=cfg["seed"], samples=cfg["samples"], precision_mode=cfg["precision"],
+        seed=cfg["seed"], samples=cfg["samples"], precision_mode="standard",
     )
     _emit(doc, cfg, [
         f"certify: {len(rows)} classifications, {mismatches} mismatch(es)",
@@ -253,7 +254,7 @@ def cmd_search(args) -> int:
     )
     doc = reporting.ReportDocument(
         command="search", config=_public_config(cfg), results=rows,
-        seed=cfg["seed"], samples=None, precision_mode=cfg["precision"],
+        seed=cfg["seed"], samples=None, precision_mode="standard",
     )
     worst = max(rows, key=lambda r: abs(r["best_slack"]))
     _emit(doc, cfg, [

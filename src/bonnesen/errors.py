@@ -87,5 +87,9 @@ class BudgetExceeded(BonnesenError):
     """Grid enumeration would exceed the evaluation point cap."""
 
 
+class NonFiniteValue(BonnesenError):
+    """A slack or a report value is inf or nan; it left the float range."""
+
+
 class UsageError(BonnesenError):
     """Invalid command-line or config-file input (exit code 2)."""

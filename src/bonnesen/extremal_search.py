@@ -41,6 +41,9 @@ from .polygon_core import (
     PolygonKind,
     PolygonModel,
     _check_margin_window,
+    angle_terms,
+    eval_context,
+    regular_trig,
     seed_parts,
 )
 
@@ -50,12 +53,16 @@ GRID_POINT_CAP = 10_000_000
 #: Certified counterexamples need exact slack below -this times the scale.
 COUNTEREXAMPLE_RTOL = 1e-8
 
-#: Starts falsify descends at once. Starts past the first certified
-#: counterexample, or past the budget, are descended and then dropped, so
-#: a wider pool saves batched calls at large budgets but wastes rows at
-#: small ones: 8 ran fastest at a budget of 750, 16 and 32 ran 8% and 20%
-#: slower there and 0.6x and 0.4x as long at 2 x 10^4.
-FALSIFY_LANES = 8
+#: Starts falsify descends at once: one lane per FALSIFY_EVALS_PER_LANE
+#: evaluations of budget, from FALSIFY_MIN_LANES to FALSIFY_MAX_LANES.
+#: Starts past the first certified counterexample, or past the budget,
+#: are descended and then dropped, so a wider pool saves batched calls at
+#: large budgets but wastes rows at small ones. Over the 21 catalog cases
+#: at n = 4 on a 2-vCPU host, 8 lanes ran fastest at budgets of 750 and
+#: 2000 (32 lanes took 1.27x and 1.16x as long); at 5000, 2 x 10^4 and
+#: 10^5, 32 lanes took 0.61x, 0.45x and 0.38x the time of 8.
+FALSIFY_MIN_LANES, FALSIFY_MAX_LANES = 8, 32
+FALSIFY_EVALS_PER_LANE = 250
 
 _TOTAL = math.pi
 
@@ -373,6 +380,22 @@ def _lattice_params(n: int, resolution: int, margin: float):
     return step, max_steps
 
 
+def _row_sums(table: np.ndarray, cols: list) -> np.ndarray:
+    """The row sums of the (m, n) array of ``table[col]``, bit for bit.
+
+    ``cols`` holds n index columns, each an int (the same index in every
+    row) or an (m,) array. numpy sums a row of fewer than 8 values left to
+    right, so such rows are summed column by column without building the
+    (m, n) array; wider rows are built and summed as numpy would.
+    """
+    if len(cols) < 8:
+        total = table[cols[0]]
+        for col in cols[1:]:
+            total = total + table[col]
+        return total
+    return table[np.stack(np.broadcast_arrays(*cols), axis=1)].sum(axis=1)
+
+
 def grid_scan(
     entry_or_id,
     n: int,
@@ -408,29 +431,31 @@ def grid_scan(
     best_slack = float("inf")
     best_j: tuple[int, ...] | None = None
 
+    # The per-angle terms take one value per lattice index, so they are
+    # tabulated once and every plane's sums are gathered from the tables.
+    terms_L, terms_A = angle_terms(kind, margin + np.arange(max_steps + 1) * step)
+    trig = regular_trig(n)
+
     # Vectorize the last two indices; peel the leading ones off recursively.
     j2_axis = np.arange(lo, hi + 1)
+    ja_plane, jb_plane = np.meshgrid(j2_axis, j2_axis, indexing="ij")
 
     def scan_plane(prefix: list[int], remaining: int):
         nonlocal best_slack, best_j
-        ja, jb = np.meshgrid(j2_axis, j2_axis, indexing="ij")
-        jc = remaining - ja - jb
+        jc = remaining - ja_plane - jb_plane
         mask = (jc >= lo) & (jc <= hi)
         if not mask.any():
             return
-        ja, jb, jc = ja[mask], jb[mask], jc[mask]
-        pts = np.empty((ja.size, n))
-        for pos, val in enumerate(prefix):
-            pts[:, pos] = margin + val * step
-        base = len(prefix)
-        pts[:, base] = margin + ja * step
-        pts[:, base + 1] = margin + jb * step
-        pts[:, base + 2] = margin + jc * step
-        out = catalog.evaluate_batch(entry, kind, radius, pts, alpha, k)
+        plane = [ja_plane[mask], jb_plane[mask], jc[mask]]
+        cols = prefix + plane
+        sum_L = _row_sums(terms_L, cols)
+        sum_A = sum_L if terms_A is terms_L else _row_sums(terms_A, cols)
+        ctx = eval_context(kind, n, radius, sum_L, sum_A, *trig)
+        out = catalog.evaluate_batch(entry, kind, radius, ctx, alpha, k)
         i = int(np.argmin(out["slack"]))
         if out["slack"][i] < best_slack:
             best_slack = float(out["slack"][i])
-            best_j = tuple(prefix) + (int(ja[i]), int(jb[i]), int(jc[i]))
+            best_j = tuple(prefix) + tuple(int(col[i]) for col in plane)
 
     def walk(prefix: list[int], remaining: int):
         depth_left = n - len(prefix)
@@ -461,6 +486,12 @@ def grid_scan(
     )
 
 
+def _falsify_lanes(budget_evals: int) -> int:
+    """falsify's pool width for a budget: 8 up to 2249 evaluations, 32 from 8000."""
+    return min(FALSIFY_MAX_LANES,
+               max(FALSIFY_MIN_LANES, budget_evals // FALSIFY_EVALS_PER_LANE))
+
+
 def falsify(
     entry_or_id,
     n: int,
@@ -475,10 +506,11 @@ def falsify(
     """Adversarial search for a certified violation of an entry.
 
     Runs simplex descents until the objective-evaluation budget is spent,
-    ``FALSIFY_LANES`` starts at a time. Starts are settled in start order
-    as if run one after another: start i counts only if the starts before
-    it spent less than the budget, and the first certified counterexample
-    in start order wins, so the verdict does not depend on the lane count.
+    :func:`_falsify_lanes` starts at a time. Starts are settled in start
+    order as if run one after another: start i counts only if the starts
+    before it spent less than the budget, and the first certified
+    counterexample in start order wins, so the verdict does not depend on
+    the lane count.
     Any candidate with slack below -1e-8 * scale is re-evaluated in
     high-precision mode; only an exact negative of the same magnitude is
     returned. None means no counterexample was found within budget, i.e.
@@ -488,13 +520,14 @@ def falsify(
     fn = _objective(entry, kind, n, radius, alpha, k, margin)
     upper = GEOMETRIC_BOUND - margin
     lanes = _Lanes(fn, n - 1, 1e-10, 4000)
+    width = _falsify_lanes(budget_evals)
     finished: dict[int, _Descent] = {}
     spent = settled = launched = 0
     while spent < budget_evals:
         if settled not in finished:
             # Start ``launched`` runs only if the starts before it spend
             # less than the budget; lanes.spent bounds their spend below.
-            while len(lanes) < FALSIFY_LANES and lanes.spent < budget_evals:
+            while len(lanes) < width and lanes.spent < budget_evals:
                 lanes.add(launched, _start_point(seed, launched, n, margin))
                 launched += 1
             for d in lanes.step():

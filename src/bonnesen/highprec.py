@@ -8,6 +8,8 @@ on mpf values produced here.
 
 from __future__ import annotations
 
+import functools
+
 import mpmath as mp
 
 from .errors import DomainViolation
@@ -35,9 +37,15 @@ def measure_exact(kind: PolygonKind, radius, angles, dps: int = DEFAULT_DPS) -> 
         if kind == PolygonKind.TANGENTIAL:
             sum_L = sum_A = mp.fsum(mp.tan(t) for t in th)
         else:
-            sin = [mp.sin(t) for t in th]
-            sum_L = mp.fsum(sin)
-            sum_A = mp.fsum(s * mp.cos(t) for s, t in zip(sin, th))
+            cos_sin = [mp.cos_sin(t) for t in th]
+            sum_L = mp.fsum(s for _, s in cos_sin)
+            sum_A = mp.fsum(s * c for c, s in cos_sin)
+        return eval_context(kind, n, mp.mpf(radius), sum_L, sum_A, *_pi_over_n_trig(n, dps))
+
+
+@functools.lru_cache(maxsize=256)
+def _pi_over_n_trig(n: int, dps: int):
+    """tan, sin and cos of pi/n at ``dps`` digits, shared: mpf values are immutable."""
+    with mp.workdps(dps):
         pin = mp.pi / n
-        return eval_context(kind, n, mp.mpf(radius), sum_L, sum_A,
-                            mp.tan(pin), mp.sin(pin), mp.cos(pin))
+        return mp.tan(pin), mp.sin(pin), mp.cos(pin)

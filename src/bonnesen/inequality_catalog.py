@@ -353,11 +353,16 @@ def evaluate_batch(
 ) -> dict:
     """Vectorized slack over rows of ``pts``; the sweep and grid workhorse.
 
+    ``pts`` is an (m, n) array of angle rows, or the EvalContext that
+    ``measure_arrays`` (or ``eval_context``) built from such rows, so one
+    measurement can serve many entries; ``radius`` is then unused, as the
+    context holds R.
     Returns arrays lhs, rhs, slack, scale plus the validated (alpha, k).
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, kind, alpha, k)
-    ctx = measure_arrays(kind, radius, np.asarray(pts, dtype=float))
+    ctx = pts if isinstance(pts, EvalContext) else measure_arrays(
+        kind, radius, np.asarray(pts, dtype=float))
     lhs, rhs, slack, scale = _evaluate_sides(entry, ctx, a, kk, np.maximum)
     lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float),
                                    np.asarray(rhs, dtype=float))

@@ -231,25 +231,41 @@ def eval_context(kind: PolygonKind, n: int, R, sum_L, sum_A,
     )
 
 
+def angle_terms(kind: PolygonKind, angles: np.ndarray):
+    """Per-angle summands of sum_L and sum_A (see :func:`eval_context`).
+
+    tan for both when tangential (one array, returned twice); sin and
+    sin cos when cyclic. Elementwise, so a table of these terms over a
+    lattice of angles gives each lattice point the same values.
+    """
+    if kind == PolygonKind.TANGENTIAL:
+        tan = np.tan(angles)
+        return tan, tan
+    sin = np.sin(angles)
+    return sin, sin * np.cos(angles)
+
+
+def regular_trig(n: int) -> tuple[float, float, float]:
+    """tan, sin and cos of pi/n, the float trig values eval_context takes."""
+    pin = math.pi / n
+    return math.tan(pin), math.sin(pin), math.cos(pin)
+
+
 def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> EvalContext:
     """Vectorized measurement over a batch of angle rows.
 
     ``angles`` has shape (m, n); the context holds per-row arrays L, A and
-    the shared scalars. Used by the catalog sweeps and the grid oracle;
+    the shared scalars. Used by the catalog sweeps and the descents;
     :func:`measure` is the single-polygon wrapper.
     """
     angles = np.asarray(angles, dtype=float)
     n = angles.shape[1]
     if n < 3:
         raise InvalidN(f"geometric measurement needs n >= 3, got {n}")
-    if kind == PolygonKind.TANGENTIAL:
-        sum_L = sum_A = np.tan(angles).sum(axis=1)
-    else:
-        sin = np.sin(angles)
-        sum_L, sum_A = sin.sum(axis=1), (sin * np.cos(angles)).sum(axis=1)
-    pin = math.pi / n
-    return eval_context(kind, n, radius, sum_L, sum_A,
-                        math.tan(pin), math.sin(pin), math.cos(pin))
+    terms_L, terms_A = angle_terms(kind, angles)
+    sum_L = terms_L.sum(axis=1)
+    sum_A = sum_L if terms_A is terms_L else terms_A.sum(axis=1)
+    return eval_context(kind, n, radius, sum_L, sum_A, *regular_trig(n))
 
 
 def seed_parts(seed) -> list[int]:

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from .errors import NonFiniteValue
+
 SCHEMA_VERSION = "bonnesen-report/1"
 
 #: Fixed CSV column order for slack-record tables.
@@ -95,7 +97,11 @@ def determinism_hash(doc: dict) -> str:
 
 
 def render_json(doc: ReportDocument) -> str:
-    return json.dumps(doc.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The report as JSON; NaN and Infinity are not JSON, so they are refused."""
+    try:
+        return json.dumps(doc.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteValue(f"report not written: {exc}") from exc
 
 
 def write_json(doc: ReportDocument, path) -> None:

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import extremal_search, inequality_catalog as catalog, schur_certifier
 from .analytic_inequalities import family
+from .errors import NonFiniteValue
 from .polygon_core import (DEFAULT_MARGIN, AngleVector, PolygonKind, PolygonModel,
-                           sample_simplex_batch, seed_parts)
+                           measure_arrays, sample_simplex_batch, seed_parts)
 from .records import EQUALITY_RTOL, VIOLATION_RTOL
 
 _KIND_INDEX = {PolygonKind.TANGENTIAL: 0, PolygonKind.CYCLIC: 1}
@@ -48,6 +49,10 @@ def verify_sweep(
     high-precision mode each float-level violation is re-evaluated with
     mpf arithmetic and only counted if it survives, so cancellation noise
     near the regular point cannot raise false alarms.
+
+    Each (kind, n) sample batch is measured once and every entry and
+    (alpha, k) is evaluated on that one context. A cell whose slack
+    leaves the float range raises NonFiniteValue.
     """
     rows: list[dict] = []
     total_violations = 0
@@ -60,10 +65,18 @@ def verify_sweep(
                 n, math.pi, margin, samples,
                 seed=seed_parts(seed) + [_KIND_INDEX[kind], n],
             )
+            ctx = measure_arrays(kind, radius, pts)
             for entry in entries:
                 for a, kk in entry.params.combos(alpha_set, k_set):
-                    out = catalog.evaluate_batch(entry, kind, radius, pts, a, kk)
+                    try:
+                        out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
+                    except OverflowError as exc:
+                        raise _overflow(entry, kind, n, a, kk) from exc
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]
+                    # A finite slack has finite sides: inf or nan in a side
+                    # carries into the difference.
+                    if not np.isfinite(slack).all():
+                        raise _overflow(entry, kind, n, a, kk)
                     side_scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
                     tol = tolerance_rtol * side_scale
                     viol_idx = np.nonzero(slack < -tol)[0]
@@ -100,6 +113,11 @@ def verify_sweep(
                     })
                     total_violations += int(viol_idx.size)
     return rows, total_violations
+
+
+def _overflow(entry, kind, n, alpha, k) -> NonFiniteValue:
+    return NonFiniteValue(f"{entry.id} ({kind.value}, n={n}, alpha={alpha}, k={k}): "
+                          "the sides overflow the float range")
 
 
 def _confirm_exact(entry, kind, radius, pts, alpha, k, viol_idx, rtol):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bonnesen import cli, reporting
+from bonnesen import cli, errors, reporting
 
 
 def run(argv):
@@ -105,6 +105,16 @@ class TestVerifyCommand:
         assert run(command + ["--n", "8", "--margin", "0.45"]) == 2
         assert "margin infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("powers", [["--alpha", "35", "--k", "3"],
+                                        ["--alpha", "60", "--k", "10"]])
+    def test_overflowing_cell_is_usage_error(self, powers, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--n", "3", "--samples", "20000", "--kinds", "tangential",
+                    "--out", str(out)] + powers) == 2
+        err = capsys.readouterr().err
+        assert f"(tangential, n=3, alpha={powers[1]}, k=" in err
+        assert "overflow" in err and not out.exists()
+
     def test_csv_output_columns(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         run(["verify", "--n", "3", "--samples", "100", "--format", "csv",
@@ -147,6 +157,10 @@ class TestCertifyCommand:
         assert run(["certify", "--n", "3", "--samples", "50", flag, "0.1"]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_precision_flag_is_usage_error(self, capsys):
+        assert run(["certify", "--n", "3", "--samples", "50", "--precision", "high"]) == 2
+        assert "--precision" in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def test_zero_starts_usage_error(self, capsys):
@@ -156,6 +170,11 @@ class TestSearchCommand:
         argv = ["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"]
         assert run(argv + ["--tolerance", "1e-9"]) == 2
         assert "--tolerance" in capsys.readouterr().err
+
+    def test_precision_flag_is_usage_error(self, capsys):
+        argv = ["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"]
+        assert run(argv + ["--precision", "high"]) == 2
+        assert "--precision" in capsys.readouterr().err
 
     def test_margin_reaches_the_search(self, tmp_path, capsys):
         out = tmp_path / "search.json"
@@ -253,6 +272,15 @@ class TestDeterminismHashHelper:
         other = json.loads(json.dumps(doc))
         other["provenance"]["timestamp"] = "B"
         assert reporting.determinism_hash(doc) == reporting.determinism_hash(other)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_render_json_refuses_non_finite(value):
+    doc = reporting.ReportDocument(command="search", config={}, seed=1, samples=None,
+                                   precision_mode="standard",
+                                   results=[{"best_slack": value}])
+    with pytest.raises(errors.NonFiniteValue):
+        reporting.render_json(doc)
 
 
 def test_console_script_installed():

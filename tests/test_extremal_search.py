@@ -238,6 +238,11 @@ class TestLockstepWidth:
         assert wide == [d for i in range(6) for d in descend([i])]
         assert wide == [reference(i) for i in range(6)]
 
+    def test_falsify_pool_widens_with_budget(self):
+        widths = [extremal_search._falsify_lanes(b)
+                  for b in (1, 750, 2000, 4000, 10_000, 100_000)]
+        assert widths == [8, 8, 8, 16, 32, 32]
+
     @pytest.mark.parametrize("entry,n,budget", [
         (get_entry("T31A"), 3, 2000),
         (get_entry("C35"), 4, 2000),
@@ -254,11 +259,12 @@ class TestLockstepWidth:
                 checked.append(poly.angles.values)
                 return evaluate(e, poly, alpha, k)
 
-            monkeypatch.setattr(extremal_search, "FALSIFY_LANES", lanes)
+            monkeypatch.setattr(extremal_search, "_falsify_lanes", lambda budget: lanes)
             monkeypatch.setattr(extremal_search.catalog, "evaluate", recording)
             return falsify(entry, n, budget_evals=budget, seed=4), checked
 
-        width = extremal_search.FALSIFY_LANES
-        one, wide = run(1), run(width)
-        assert width > 1 and wide == one
+        width = extremal_search._falsify_lanes(budget)
+        widest = extremal_search.FALSIFY_MAX_LANES
+        one = run(1)
+        assert 1 < width < widest and run(width) == one and run(widest) == one
         assert (one[0] is None) == (not entry.id.endswith("FLIPPED"))
