@@ -14,7 +14,8 @@ config errors and on any error raised for the inputs given, such as an
 infeasible margin. A flag a subcommand does not use is refused. Flag
 values override config-file values override defaults; the config file is
 JSON and its default path can be set through the BONNESEN_CONFIG
-environment variable.
+environment variable. A config-file key a subcommand does not use is
+ignored, so the report records its default.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ _DEFAULTS = {key: prop["default"] for key, prop in CONFIG_SCHEMA["properties"].i
 
 _SEARCH_DEFAULT_N = [3, 4, 5]
 
+#: Config keys each sweep subcommand does not use: it takes no flag for
+#: them and keeps their defaults whatever the config file says.
+_UNUSED = {
+    "verify": ("starts", "grid_resolution"),
+    "certify": ("margin", "tolerance", "precision", "starts", "grid_resolution",
+                "inject_fault"),
+    "search": ("samples", "tolerance", "precision", "inject_fault"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -103,16 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"JSON config file (default from ${ENV_CONFIG})")
 
     p_verify = sub.add_parser("verify", help="sampled soundness sweep")
-    add_common(p_verify)
+    add_common(p_verify, unused=_UNUSED["verify"])
     p_verify.add_argument("--inject-fault", action="store_true", default=None,
                           help="add a sign-flipped entry; validates violation "
                                "reporting and must make the run exit 1")
 
     p_certify = sub.add_parser("certify", help="Schur classification sweep")
-    add_common(p_certify, unused=("margin", "tolerance", "precision"))
+    add_common(p_certify, unused=_UNUSED["certify"])
 
     p_search = sub.add_parser("search", help="slack minimization per entry")
-    add_common(p_search, unused=("samples", "tolerance", "precision"))
+    add_common(p_search, unused=_UNUSED["search"])
     p_search.add_argument("--starts", type=int, default=None,
                           help="optimizer restarts per entry (default 20)")
 
@@ -149,6 +159,8 @@ def _resolve_config(args, extra_defaults: dict | None = None) -> dict:
     file_cfg = _load_config_file(getattr(args, "config", None))
     cfg = dict(_DEFAULTS, **(extra_defaults or {}))
     for key, default in cfg.items():
+        if key in _UNUSED[args.command]:
+            continue
         flag = getattr(args, key, None)
         cfg[key] = flag if flag is not None else file_cfg.get(key, default)
     _validate(cfg, CONFIG_SCHEMA)

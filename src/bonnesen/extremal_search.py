@@ -53,16 +53,17 @@ GRID_POINT_CAP = 10_000_000
 #: Certified counterexamples need exact slack below -this times the scale.
 COUNTEREXAMPLE_RTOL = 1e-8
 
-#: Starts falsify descends at once: one lane per FALSIFY_EVALS_PER_LANE
-#: evaluations of budget, from FALSIFY_MIN_LANES to FALSIFY_MAX_LANES.
+#: Starts falsify descends at once: FALSIFY_NARROW_LANES below a budget
+#: of FALSIFY_WIDE_BUDGET evaluations, FALSIFY_WIDE_LANES from it on.
 #: Starts past the first certified counterexample, or past the budget,
 #: are descended and then dropped, so a wider pool saves batched calls at
 #: large budgets but wastes rows at small ones. Over the 21 catalog cases
 #: at n = 4 on a 2-vCPU host, 8 lanes ran fastest at budgets of 750 and
 #: 2000 (32 lanes took 1.27x and 1.16x as long); at 5000, 2 x 10^4 and
-#: 10^5, 32 lanes took 0.61x, 0.45x and 0.38x the time of 8.
-FALSIFY_MIN_LANES, FALSIFY_MAX_LANES = 8, 32
-FALSIFY_EVALS_PER_LANE = 250
+#: 10^5, 32 lanes took 0.61x, 0.45x and 0.38x the time of 8. Budgets
+#: between 2000 and 5000 were not measured and keep the narrow pool.
+FALSIFY_NARROW_LANES, FALSIFY_WIDE_LANES = 8, 32
+FALSIFY_WIDE_BUDGET = 5000
 
 _TOTAL = math.pi
 
@@ -380,22 +381,6 @@ def _lattice_params(n: int, resolution: int, margin: float):
     return step, max_steps
 
 
-def _row_sums(table: np.ndarray, cols: list) -> np.ndarray:
-    """The row sums of the (m, n) array of ``table[col]``, bit for bit.
-
-    ``cols`` holds n index columns, each an int (the same index in every
-    row) or an (m,) array. numpy sums a row of fewer than 8 values left to
-    right, so such rows are summed column by column without building the
-    (m, n) array; wider rows are built and summed as numpy would.
-    """
-    if len(cols) < 8:
-        total = table[cols[0]]
-        for col in cols[1:]:
-            total = total + table[col]
-        return total
-    return table[np.stack(np.broadcast_arrays(*cols), axis=1)].sum(axis=1)
-
-
 def grid_scan(
     entry_or_id,
     n: int,
@@ -447,9 +432,11 @@ def grid_scan(
         if not mask.any():
             return
         plane = [ja_plane[mask], jb_plane[mask], jc[mask]]
-        cols = prefix + plane
-        sum_L = _row_sums(terms_L, cols)
-        sum_A = sum_L if terms_A is terms_L else _row_sums(terms_A, cols)
+        # The plane's (m, n) terms, summed as measure_arrays sums them, so
+        # the sums match it bit for bit.
+        rows = np.stack(np.broadcast_arrays(*prefix, *plane), axis=1)
+        sum_L = terms_L[rows].sum(axis=1)
+        sum_A = sum_L if terms_A is terms_L else terms_A[rows].sum(axis=1)
         ctx = eval_context(kind, n, radius, sum_L, sum_A, *trig)
         out = catalog.evaluate_batch(entry, kind, radius, ctx, alpha, k)
         i = int(np.argmin(out["slack"]))
@@ -487,9 +474,10 @@ def grid_scan(
 
 
 def _falsify_lanes(budget_evals: int) -> int:
-    """falsify's pool width for a budget: 8 up to 2249 evaluations, 32 from 8000."""
-    return min(FALSIFY_MAX_LANES,
-               max(FALSIFY_MIN_LANES, budget_evals // FALSIFY_EVALS_PER_LANE))
+    """falsify's pool width for a budget of ``budget_evals`` evaluations."""
+    if budget_evals >= FALSIFY_WIDE_BUDGET:
+        return FALSIFY_WIDE_LANES
+    return FALSIFY_NARROW_LANES
 
 
 def falsify(

@@ -247,6 +247,27 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert doc["config"]["samples"] == 90
 
+    @pytest.mark.parametrize("argv, file_cfg", [
+        (["certify", "--n", "3", "--alpha", "1", "--k", "2", "--samples", "200"],
+         {"margin": 0.3, "precision": "high", "tolerance": 0.5, "starts": 3,
+          "grid_resolution": 7, "inject_fault": True}),
+        (["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"],
+         {"samples": 5, "precision": "high", "tolerance": 0.5, "inject_fault": True}),
+        (["verify", "--n", "3", "--samples", "100"], {"starts": 3, "grid_resolution": 7}),
+    ], ids=["certify", "search", "verify"])
+    def test_unused_file_keys_keep_defaults(self, argv, file_cfg, tmp_path, capsys):
+        """The report records no config-file value the subcommand ignores."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        plain, with_file = tmp_path / "plain.json", tmp_path / "file.json"
+        assert run(argv + ["--out", str(plain)]) == 0
+        assert run(argv + ["--config", str(path), "--out", str(with_file)]) == 0
+        a, b = (json.loads(p.read_text()) for p in (plain, with_file))
+        assert b["config"] == a["config"]
+        assert b["config"]["precision"] == b["provenance"]["precision_mode"]
+        assert (b["provenance"]["determinism_hash"]
+                == a["provenance"]["determinism_hash"])
+
     def test_unreadable_config_is_usage_error(self, capsys):
         assert run(["verify", "--config", "/nonexistent/cfg.json"]) == 2
 
