@@ -69,8 +69,8 @@ _SEARCH_DEFAULT_N = [3, 4, 5]
 #: them and keeps their defaults whatever the config file says.
 _UNUSED = {
     "verify": ("starts", "grid_resolution"),
-    "certify": ("margin", "tolerance", "precision", "starts", "grid_resolution",
-                "inject_fault"),
+    "certify": ("kinds", "margin", "tolerance", "precision", "starts",
+                "grid_resolution", "inject_fault"),
     "search": ("samples", "tolerance", "precision", "inject_fault"),
 }
 
@@ -90,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="alpha exponents (default 1 2 3)")
         p.add_argument("--k", type=int, nargs="+", default=None,
                        help="k exponents, each >= 2 (default 2 3)")
-        p.add_argument("--kinds", nargs="+", default=None,
-                       choices=["tangential", "cyclic"],
-                       help="polygon kinds to sweep (default both)")
+        if "kinds" not in unused:
+            p.add_argument("--kinds", nargs="+", default=None,
+                           choices=["tangential", "cyclic"],
+                           help="polygon kinds to sweep (default both)")
         if "samples" not in unused:
             p.add_argument("--samples", type=int, default=None,
                            help="samples per configuration (default 10000)")

@@ -20,9 +20,11 @@ infinite objective. Independent starts use seed-derived substreams and the
 best result is reduced in start order, so outcomes depend only on the seed.
 
 Both descents run on one driver, :class:`_Lanes`, which advances many
-starts in lockstep and evaluates each phase of an iteration for all of
-them in one batched catalog call. A start's result is bit-identical to
-the one it gets descending alone.
+starts in lockstep. An iteration evaluates four candidate points of
+every start in one batched catalog call, plus one call for the starts
+whose simplex shrinks. A start's result, and the evaluations charged to
+it, are bit-identical to those of the start descending alone; the
+candidates it does not take are evaluated but not charged.
 """
 
 from __future__ import annotations
@@ -160,8 +162,10 @@ def _objective(entry, kind, n, radius, alpha, k, margin):
 
     def fn(z):
         theta = _angles_from_free(z, n, margin)
-        f = np.full(len(z), np.inf)
         ok = ~(theta >= upper).any(axis=1)
+        if ok.all():
+            return catalog.evaluate_batch(entry, kind, radius, theta, alpha, k)["slack"]
+        f = np.full(len(z), np.inf)
         if ok.any():
             f[ok] = catalog.evaluate_batch(entry, kind, radius, theta[ok], alpha, k)["slack"]
         return f
@@ -188,11 +192,12 @@ class _Lanes:
     """Plain downhill simplex run on many starts at once, in lockstep.
 
     Each lane is one start's simplex; the lanes are held as a (lanes,
-    dim + 1, dim) array. Every phase of an iteration (initial simplex,
-    reflect, expand or contract, shrink) makes one call of ``fn`` over the
-    points of all lanes in that phase. Per lane the arithmetic is that of
-    a single-simplex descent: the same stable sort, centroid and norm, so
-    a lane's result does not depend on the other lanes in the batch. A
+    dim + 1, dim) array. New lanes' initial simplices take one call of
+    ``fn``; then an iteration makes one call over four candidate points
+    of every lane, and one more over the new vertices of the lanes that
+    shrink (see :meth:`_advance`). Per lane the arithmetic is that of a
+    single-simplex descent: the same stable sort, centroid and norm, so a
+    lane's result does not depend on the other lanes in the batch. A
     lane finishes when its diameter (max vertex distance to the best
     vertex) drops below ``xtol`` or after ``max_iter`` iterations.
     """
@@ -273,26 +278,31 @@ class _Lanes:
     def _advance(self) -> None:
         """Reflect, then expand, contract or shrink, for every live lane.
 
-        The expand and contract points are both known once the reflected
-        point is evaluated, and a lane needs at most one of them, so they
-        share one evaluation.
+        Every point a lane may take this iteration (the reflection, the
+        expansion, the outside and the inside contraction) is known before
+        any is evaluated, so all four points of every lane go through one
+        call of ``fn``; the lanes that shrink make a second. A call costs
+        nearly the same at 1 row as at 4 x lanes, so evaluating the points
+        a lane does not take is cheaper than a second call. A lane is
+        charged only for the points a single-simplex descent evaluates
+        (the reflection, at most one other, a shrink's ``dim`` vertices),
+        so the rows evaluated exceed the evaluations charged.
         """
         v, f = self.verts, self.fvals
         centroid = v[:, :-1].mean(axis=1)
         worst = v[:, -1]
         xr = centroid + _REFLECT * (centroid - worst)
-        fr = self.fn(xr)
+        xe = centroid + _EXPAND * (xr - centroid)
+        xoc = centroid + _CONTRACT * (xr - centroid)
+        xic = centroid + _CONTRACT * (worst - centroid)
+        fr, fe, foc, fic = self.fn(np.concatenate([xr, xe, xoc, xic])).reshape(4, -1)
         expand = fr < f[:, 0]
         contract = ~expand & ~(fr < f[:, -2])
         inside = fr >= f[:, -1]
-        base = np.where(inside[:, None], worst, xr)
         fbase = np.where(inside, f[:, -1], fr)
-        coef = np.where(expand, _EXPAND, _CONTRACT)[:, None]
-        x2 = centroid + coef * (base - centroid)
-        f2 = np.full(len(v), np.nan)
+        x2 = np.where(expand[:, None], xe, np.where(inside[:, None], xic, xoc))
+        f2 = np.where(expand, fe, np.where(inside, fic, foc))
         trial = expand | contract
-        if trial.any():
-            f2[trial] = self.fn(x2[trial])
         take2 = (expand & (f2 < fr)) | (contract & (f2 < fbase))
         shrink = contract & ~take2
         v[:, -1] = np.where(shrink[:, None], worst, np.where(take2[:, None], x2, xr))

@@ -364,8 +364,9 @@ def evaluate_batch(
     ctx = pts if isinstance(pts, EvalContext) else measure_arrays(
         kind, radius, np.asarray(pts, dtype=float))
     lhs, rhs, slack, scale = _evaluate_sides(entry, ctx, a, kk, np.maximum)
-    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float),
-                                   np.asarray(rhs, dtype=float))
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if lhs.shape != rhs.shape:
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
     return {"lhs": lhs, "rhs": rhs, "slack": slack, "scale": scale,
             "alpha": a, "k": kk}
 

@@ -68,8 +68,11 @@ def verify_sweep(
             ctx = measure_arrays(kind, radius, pts)
             for entry in entries:
                 for a, kk in entry.params.combos(alpha_set, k_set):
+                    # Overflow is reported below as NonFiniteValue, not
+                    # as numpy's warning.
                     try:
-                        out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
                     except OverflowError as exc:
                         raise _overflow(entry, kind, n, a, kk) from exc
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]

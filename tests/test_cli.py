@@ -115,6 +115,18 @@ class TestVerifyCommand:
         assert f"(tangential, n=3, alpha={powers[1]}, k=" in err
         assert "overflow" in err and not out.exists()
 
+    def test_overflowing_cell_prints_only_the_error(self, tmp_path):
+        """numpy's overflow warning does not reach the terminal."""
+        out = tmp_path / "rep.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bonnesen.cli", "verify", "--n", "3", "--alpha", "35",
+             "--k", "3", "--samples", "20000", "--kinds", "tangential", "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and not out.exists()
+        assert proc.stderr.splitlines() == [
+            "error: T31A (tangential, n=3, alpha=35, k=None): "
+            "the sides overflow the float range"]
+
     def test_csv_output_columns(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         run(["verify", "--n", "3", "--samples", "100", "--format", "csv",
@@ -160,6 +172,11 @@ class TestCertifyCommand:
     def test_precision_flag_is_usage_error(self, capsys):
         assert run(["certify", "--n", "3", "--samples", "50", "--precision", "high"]) == 2
         assert "--precision" in capsys.readouterr().err
+
+    def test_kinds_flag_is_usage_error(self, capsys):
+        """certify classifies power gaps, which take no polygon kind."""
+        assert run(["certify", "--n", "3", "--samples", "50", "--kinds", "cyclic"]) == 2
+        assert "--kinds" in capsys.readouterr().err
 
 
 class TestSearchCommand:
@@ -249,8 +266,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("argv, file_cfg", [
         (["certify", "--n", "3", "--alpha", "1", "--k", "2", "--samples", "200"],
-         {"margin": 0.3, "precision": "high", "tolerance": 0.5, "starts": 3,
-          "grid_resolution": 7, "inject_fault": True}),
+         {"kinds": ["cyclic"], "margin": 0.3, "precision": "high", "tolerance": 0.5,
+          "starts": 3, "grid_resolution": 7, "inject_fault": True}),
         (["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"],
          {"samples": 5, "precision": "high", "tolerance": 0.5, "inject_fault": True}),
         (["verify", "--n", "3", "--samples", "100"], {"starts": 3, "grid_resolution": 7}),

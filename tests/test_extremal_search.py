@@ -154,7 +154,8 @@ class TestFalsify:
 def _one_simplex_descent(fn, x0, xtol, max_iter):
     """Reference downhill simplex on one start, one point per ``fn`` call.
 
-    Returns (x, f, iterations, converged, evals); the lockstep driver must
+    Returns (x, f, iterations, converged, evals, shrinks), shrinks being
+    the iterations that shrank the simplex; the lockstep driver must
     reproduce it bit for bit on every lane.
     """
     dim = x0.size
@@ -166,6 +167,7 @@ def _one_simplex_descent(fn, x0, xtol, max_iter):
     verts = np.asarray(verts)
     fvals = np.asarray([fn(v) for v in verts])
     evals = dim + 1
+    shrinks = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -203,8 +205,22 @@ def _one_simplex_descent(fn, x0, xtol, max_iter):
                     verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
                     fvals[j] = fn(verts[j])
                 evals += dim
+                shrinks.append(it)
     best = int(np.argmin(fvals))
-    return verts[best], float(fvals[best]), it, converged, evals
+    return verts[best], float(fvals[best]), it, converged, evals, shrinks
+
+
+def _one_row(fn):
+    """``fn`` on one free point at a time."""
+    return lambda row: float(fn(row[None, :])[0])
+
+
+def _lockstep_case(entry_id, kind, n):
+    """The objective of a catalog case and six seeded starts for it."""
+    entry = get_entry(entry_id)
+    alpha, k = entry.params.validate(None, None)
+    fn = extremal_search._objective(entry, kind, n, 1.0, alpha, k, DEFAULT_MARGIN)
+    return fn, [extremal_search._start_point(11, i, n, DEFAULT_MARGIN) for i in range(6)]
 
 
 class TestLockstepWidth:
@@ -217,10 +233,7 @@ class TestLockstepWidth:
         ("T41A", PolygonKind.TANGENTIAL, 5, 40),
     ])
     def test_lanes_match_single_descents(self, entry_id, kind, n, max_iter):
-        entry = get_entry(entry_id)
-        alpha, k = entry.params.validate(None, None)
-        fn = extremal_search._objective(entry, kind, n, 1.0, alpha, k, DEFAULT_MARGIN)
-        x0 = [extremal_search._start_point(11, i, n, DEFAULT_MARGIN) for i in range(6)]
+        fn, x0 = _lockstep_case(entry_id, kind, n)
 
         def descend(starts):
             lanes = extremal_search._Lanes(fn, n - 1, 1e-10, max_iter)
@@ -230,13 +243,40 @@ class TestLockstepWidth:
                     for d in lanes.run()]
 
         def reference(i):
-            z, f, iterations, converged, evals = _one_simplex_descent(
-                lambda row: float(fn(row[None, :])[0]), x0[i], 1e-10, max_iter)
+            z, f, iterations, converged, evals, _ = _one_simplex_descent(
+                _one_row(fn), x0[i], 1e-10, max_iter)
             return z.tolist(), f, iterations, converged, evals
 
         wide = descend(range(6))
         assert wide == [d for i in range(6) for d in descend([i])]
         assert wide == [reference(i) for i in range(6)]
+
+    @pytest.mark.parametrize("entry_id,kind,n", [
+        ("BASIC", PolygonKind.TANGENTIAL, 3),
+        ("T53", PolygonKind.CYCLIC, 4),
+        ("C42B", PolygonKind.TANGENTIAL, 5),
+    ])
+    def test_one_objective_call_per_iteration(self, entry_id, kind, n, monkeypatch):
+        """One call for the initial simplex, one per iteration, one per shrink."""
+        fn, x0 = _lockstep_case(entry_id, kind, n)
+        refs = [_one_simplex_descent(_one_row(fn), x, 1e-10, 4000) for x in x0]
+        # A converged lane stops at the check that opens its last iteration.
+        iterations = max(it - converged for _, _, it, converged, _, _ in refs)
+        shrinks = set().union(*(r[5] for r in refs))
+        assert shrinks
+        calls = []
+        evaluate_batch = extremal_search.catalog.evaluate_batch
+
+        def counting(*args):
+            calls.append(args[0])
+            return evaluate_batch(*args)
+
+        monkeypatch.setattr(extremal_search.catalog, "evaluate_batch", counting)
+        lanes = extremal_search._Lanes(fn, n - 1, 1e-10, 4000)
+        for i, x in enumerate(x0):
+            lanes.add(i, x)
+        lanes.run()
+        assert len(calls) == 1 + iterations + len(shrinks)
 
     def test_falsify_pool_widens_with_budget(self):
         widths = [extremal_search._falsify_lanes(b)
@@ -249,8 +289,37 @@ class TestLockstepWidth:
         (sign_flipped("T52"), 3, 5000),
     ])
     def test_falsify_matches_one_lane(self, entry, n, budget, monkeypatch):
-        """Same verdict, from the same starts checked in the same order."""
+        """Same verdict, from the same starts checked in the same order.
+
+        Every start launched is charged what the one-simplex reference
+        evaluates over the iterations it ran, and the pool's ``spent`` is
+        their sum, whatever the pool width.
+        """
         evaluate = extremal_search.catalog.evaluate
+        references = {}
+
+        def reference(fn, start, max_iter):
+            if (start, max_iter) not in references:
+                x0 = extremal_search._start_point(4, start, n, DEFAULT_MARGIN)
+                z, f, it, converged, evals, _ = _one_simplex_descent(
+                    _one_row(fn), x0, 1e-10, max_iter)
+                references[start, max_iter] = z.tolist(), f, it, converged, evals
+            return references[start, max_iter]
+
+        pools = []
+
+        class Recorded(extremal_search._Lanes):
+            """A pool that keeps itself and every lane it finishes."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.finished = []
+                pools.append(self)
+
+            def step(self):
+                done = super().step()
+                self.finished += done
+                return done
 
         def run(lanes):
             checked = []
@@ -261,7 +330,19 @@ class TestLockstepWidth:
 
             monkeypatch.setattr(extremal_search, "_falsify_lanes", lambda budget: lanes)
             monkeypatch.setattr(extremal_search.catalog, "evaluate", recording)
-            return falsify(entry, n, budget_evals=budget, seed=4), checked
+            monkeypatch.setattr(extremal_search, "_Lanes", Recorded)
+            pools.clear()
+            verdict = falsify(entry, n, budget_evals=budget, seed=4)
+            (pool,) = pools
+            assert not pool._pending
+            for d in pool.finished:
+                assert ((d.z.tolist(), d.f, d.iterations, d.converged, d.evals)
+                        == reference(pool.fn, d.start, 4000))
+            for start, iters, evals in zip(pool.starts, pool.iters, pool.evals):
+                assert reference(pool.fn, int(start), int(iters))[4] == evals
+            assert pool.spent == (sum(d.evals for d in pool.finished)
+                                  + int(pool.evals.sum()))
+            return verdict, checked
 
         width = extremal_search._falsify_lanes(budget)
         widest = extremal_search.FALSIFY_WIDE_LANES
