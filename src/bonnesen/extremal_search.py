@@ -6,8 +6,10 @@ Three complementary tools around the catalog evaluators:
     smooth reparameterization of the constrained angle space, locating the
     slack minimum (zero, at the regular polygon, when the inequality is
     sharp).
-  * grid_scan: exhaustive evaluation on an integer-composition lattice of
-    the simplex; the brute-force oracle the optimizer is checked against.
+  * grid_scan: exhaustive minimum over the integer-composition lattice of
+    the simplex, evaluated once per multiset of lattice angles (every
+    slack is symmetric in the angles); the brute-force oracle the
+    optimizer is checked against.
   * falsify: budgeted adversarial search for slack below the violation
     threshold, with high-precision re-certification before any
     counterexample is reported.
@@ -49,7 +51,9 @@ from .polygon_core import (
     seed_parts,
 )
 
-#: grid_scan refuses lattices with more evaluation points than this.
+#: grid_scan refuses lattices with more points than this. The count is of
+#: compositions (lattice_point_count), an upper bound on the sorted index
+#: tuples the scan evaluates.
 GRID_POINT_CAP = 10_000_000
 
 #: Certified counterexamples need exact slack below -this times the scale.
@@ -163,12 +167,15 @@ def _objective(entry, kind, n, radius, alpha, k, margin):
     def fn(z):
         theta = _angles_from_free(z, n, margin)
         ok = ~(theta >= upper).any(axis=1)
-        if ok.all():
-            return catalog.evaluate_batch(entry, kind, radius, theta, alpha, k)["slack"]
-        f = np.full(len(z), np.inf)
-        if ok.any():
-            f[ok] = catalog.evaluate_batch(entry, kind, radius, theta[ok], alpha, k)["slack"]
-        return f
+        try:
+            if ok.all():
+                return catalog.evaluate_batch(entry, kind, radius, theta, alpha, k)["slack"]
+            f = np.full(len(z), np.inf)
+            if ok.any():
+                f[ok] = catalog.evaluate_batch(entry, kind, radius, theta[ok], alpha, k)["slack"]
+            return f
+        except OverflowError as exc:  # a power of Python floats in the sides
+            raise catalog._overflow(entry, kind, n, alpha, k) from exc
 
     return fn
 
@@ -351,15 +358,21 @@ def minimize_slack(
         lanes = _Lanes(fn, n - 1, xtol, max_iter)
         for idx in range(used, used + batch):
             lanes.add(idx, _start_point(seed, idx, n, margin))
-        for d in lanes.run():
+        # Overflowing slacks are refused below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            descents = lanes.run()
+        for d in descents:
             total_iters += d.iterations
             any_converged = any_converged or d.converged
-            if d.f < best_f:
+            if math.isfinite(d.f) and d.f < best_f:
                 best_f, best_z = d.f, d.z
         used += batch
         if any_converged:
             break
         batch *= 2  # adaptive doubling on total non-convergence
+    if best_z is None:
+        # Every start is feasible, so no finite end means overflowing sides.
+        raise catalog._overflow(entry, kind, n, alpha, k)
     theta = _angles_from_free(best_z[None, :], n, margin)[0]
     angles = AngleVector(values=tuple(float(v) for v in theta), total=_TOTAL)
     return SearchResult(
@@ -406,15 +419,20 @@ def grid_scan(
 
     The lattice is theta_i = margin + j_i * step with step =
     (pi - n margin) / resolution and sum j_i = resolution, every
-    coordinate inside the open domain. Feasible point count is computed
-    in closed form first; above ``point_cap`` the scan refuses with
-    BudgetExceeded rather than grinding.
+    coordinate inside the open domain. Every slack is symmetric in the
+    angles, so the scan visits only the sorted index tuples
+    j_1 <= ... <= j_n, about 1/n! of the points, in lexicographic order;
+    a point's value is the slack of its ascending angle row, and the
+    argmin is the lexicographically smallest sorted tuple among ties.
+    The composition count is computed in closed form first; above
+    ``point_cap`` the scan refuses with BudgetExceeded rather than
+    grinding. A slack that is not finite raises NonFiniteValue.
     """
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
     if resolution < n:
         raise DomainViolation(f"resolution {resolution} < n = {n}: empty lattice")
-    step, max_steps = _lattice_params(n, resolution, margin)
-    count = lattice_point_count(resolution, n, max_steps)
+    step, hi = _lattice_params(n, resolution, margin)
+    count = lattice_point_count(resolution, n, hi)
     if count > point_cap:
         raise BudgetExceeded(
             f"lattice has {count:,} points, above the cap of {point_cap:,}"
@@ -422,52 +440,60 @@ def grid_scan(
     if count == 0:
         raise DomainViolation("no feasible lattice point at this resolution")
 
-    lo, hi = 1, max_steps
     best_slack = float("inf")
     best_j: tuple[int, ...] | None = None
 
     # The per-angle terms take one value per lattice index, so they are
     # tabulated once and every plane's sums are gathered from the tables.
-    terms_L, terms_A = angle_terms(kind, margin + np.arange(max_steps + 1) * step)
+    terms_L, terms_A = angle_terms(kind, margin + np.arange(hi + 1) * step)
     trig = regular_trig(n)
 
-    # Vectorize the last two indices; peel the leading ones off recursively.
-    j2_axis = np.arange(lo, hi + 1)
-    ja_plane, jb_plane = np.meshgrid(j2_axis, j2_axis, indexing="ij")
+    # Vectorize the last three indices: a plane is the pairs ja <= jb in
+    # lexicographic order, each completed by jc. Peel the leading indices
+    # off recursively, each at least the one before it.
+    ja_pairs, jb_pairs = np.triu_indices(hi)
+    ja_pairs, jb_pairs = ja_pairs + 1, jb_pairs + 1
 
-    def scan_plane(prefix: list[int], remaining: int):
+    def scan_plane(prefix: list[int], first: int, remaining: int):
         nonlocal best_slack, best_j
-        jc = remaining - ja_plane - jb_plane
-        mask = (jc >= lo) & (jc <= hi)
+        jc = remaining - ja_pairs - jb_pairs
+        mask = (ja_pairs >= first) & (jb_pairs <= jc) & (jc <= hi)
         if not mask.any():
             return
-        plane = [ja_plane[mask], jb_plane[mask], jc[mask]]
+        plane = [ja_pairs[mask], jb_pairs[mask], jc[mask]]
         # The plane's (m, n) terms, summed as measure_arrays sums them, so
         # the sums match it bit for bit.
         rows = np.stack(np.broadcast_arrays(*prefix, *plane), axis=1)
         sum_L = terms_L[rows].sum(axis=1)
         sum_A = sum_L if terms_A is terms_L else terms_A[rows].sum(axis=1)
         ctx = eval_context(kind, n, radius, sum_L, sum_A, *trig)
-        out = catalog.evaluate_batch(entry, kind, radius, ctx, alpha, k)
-        i = int(np.argmin(out["slack"]))
-        if out["slack"][i] < best_slack:
-            best_slack = float(out["slack"][i])
+        try:
+            slack = catalog.evaluate_batch(entry, kind, radius, ctx, alpha, k)["slack"]
+        except OverflowError as exc:  # a power of Python floats in the sides
+            raise catalog._overflow(entry, kind, n, alpha, k) from exc
+        # Every lattice point lies in the domain, so a slack that is not
+        # finite is an overflow, never a point to skip.
+        if not np.isfinite(slack).all():
+            raise catalog._overflow(entry, kind, n, alpha, k)
+        i = int(np.argmin(slack))
+        if slack[i] < best_slack:
+            best_slack = float(slack[i])
             best_j = tuple(prefix) + tuple(int(col[i]) for col in plane)
 
-    def walk(prefix: list[int], remaining: int):
+    def walk(prefix: list[int], first: int, remaining: int):
         depth_left = n - len(prefix)
         if depth_left == 3:
-            scan_plane(prefix, remaining)
+            scan_plane(prefix, first, remaining)
             return
-        lo_j = max(lo, remaining - hi * (depth_left - 1))
-        hi_j = min(hi, remaining - lo * (depth_left - 1))
-        for j in range(lo_j, hi_j + 1):
-            walk(prefix + [j], remaining - j)
+        # j is the least of the depth_left indices still to choose, and the
+        # others must fit under hi.
+        for j in range(max(first, remaining - hi * (depth_left - 1)),
+                       remaining // depth_left + 1):
+            walk(prefix + [j], j, remaining - j)
 
-    if n == 3:
-        scan_plane([], resolution)
-    else:
-        walk([], resolution)
+    # Overflowing slacks are refused in scan_plane, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk([], 1, resolution)
 
     theta = tuple(margin + j * step for j in best_j)
     # Exact lattice rows sum to pi by construction up to roundoff; renormalize

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import highprec
 from .analytic_inequalities import Direction
-from .errors import KindMismatch, ParamOutOfDomain, UnknownId
+from .errors import KindMismatch, NonFiniteValue, ParamOutOfDomain, UnknownId
 from .polygon_core import EvalContext, PolygonKind, PolygonModel, measure_arrays
 from .records import EQUALITY_RTOL, SlackRecord, scale_tolerance
 
@@ -341,6 +341,12 @@ def _evaluate_sides(entry: CatalogEntry, ctx: EvalContext, alpha, k, maximum):
     lhs, rhs = values
     slack = (lhs - rhs) if entry.direction == Direction.GE else (rhs - lhs)
     return lhs, rhs, slack, scale
+
+
+def _overflow(entry: CatalogEntry, kind: PolygonKind, n, alpha, k) -> NonFiniteValue:
+    """The error for a case whose float slack is not finite."""
+    return NonFiniteValue(f"{entry.id} ({kind.value}, n={n}, alpha={alpha}, k={k}): "
+                          "the sides overflow the float range")
 
 
 def evaluate_batch(

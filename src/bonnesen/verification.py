@@ -22,7 +22,6 @@ import numpy as np
 
 from . import extremal_search, inequality_catalog as catalog, schur_certifier
 from .analytic_inequalities import family
-from .errors import NonFiniteValue
 from .polygon_core import (DEFAULT_MARGIN, AngleVector, PolygonKind, PolygonModel,
                            measure_arrays, sample_simplex_batch, seed_parts)
 from .records import EQUALITY_RTOL, VIOLATION_RTOL
@@ -74,12 +73,12 @@ def verify_sweep(
                         with np.errstate(over="ignore", invalid="ignore"):
                             out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
                     except OverflowError as exc:
-                        raise _overflow(entry, kind, n, a, kk) from exc
+                        raise catalog._overflow(entry, kind, n, a, kk) from exc
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]
                     # A finite slack has finite sides: inf or nan in a side
                     # carries into the difference.
                     if not np.isfinite(slack).all():
-                        raise _overflow(entry, kind, n, a, kk)
+                        raise catalog._overflow(entry, kind, n, a, kk)
                     side_scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
                     tol = tolerance_rtol * side_scale
                     viol_idx = np.nonzero(slack < -tol)[0]
@@ -116,11 +115,6 @@ def verify_sweep(
                     })
                     total_violations += int(viol_idx.size)
     return rows, total_violations
-
-
-def _overflow(entry, kind, n, alpha, k) -> NonFiniteValue:
-    return NonFiniteValue(f"{entry.id} ({kind.value}, n={n}, alpha={alpha}, k={k}): "
-                          "the sides overflow the float range")
 
 
 def _confirm_exact(entry, kind, radius, pts, alpha, k, viol_idx, rtol):

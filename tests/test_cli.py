@@ -193,6 +193,19 @@ class TestSearchCommand:
         assert run(argv + ["--precision", "high"]) == 2
         assert "--precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("powers", [["--alpha", "200"], ["--alpha", "120", "--k", "9"]])
+    def test_overflowing_case_prints_only_the_error(self, powers, tmp_path):
+        """No descent of T31A ends at a finite slack: exit 2, not a traceback."""
+        out = tmp_path / "search.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bonnesen.cli", "search", "--n", "3", "--starts", "2",
+             "--out", str(out)] + powers,
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and not out.exists()
+        assert proc.stderr.splitlines() == [
+            f"error: T31A (tangential, n=3, alpha={powers[1]}, k=None): "
+            "the sides overflow the float range"]
+
     def test_margin_reaches_the_search(self, tmp_path, capsys):
         out = tmp_path / "search.json"
         code = run(["search", "--n", "3", "--kinds", "cyclic", "--starts", "1",

@@ -1,5 +1,6 @@
 """Slack minimization, the brute-force grid oracle, and the falsifier."""
 
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,38 @@ class TestGridScan:
         res = grid_scan("BASIC", 5, resolution=40, kind=PolygonKind.TANGENTIAL)
         assert res.grid_min_slack >= -1e-10
 
+    @pytest.mark.parametrize("n,resolution", [(3, 12), (4, 20), (5, 16), (6, 14)])
+    def test_scan_visits_each_sorted_tuple_once(self, n, resolution, monkeypatch):
+        """One evaluated row per multiset of indices, ascending, in lexicographic order."""
+        _, max_steps = extremal_search._lattice_params(n, resolution, DEFAULT_MARGIN)
+        expected = [t for t in itertools.combinations_with_replacement(
+            range(1, max_steps + 1), n) if sum(t) == resolution]
+        evaluated, gathered = [], []
+        evaluate_batch = extremal_search.catalog.evaluate_batch
+        angle_terms = extremal_search.angle_terms
+
+        def counting(*args):
+            out = evaluate_batch(*args)
+            evaluated.append(out["slack"].size)
+            return out
+
+        class Recorded(np.ndarray):
+            def __getitem__(self, index):
+                gathered.append(np.asarray(index))
+                return np.asarray(self)[index]
+
+        def recorded_terms(kind, theta):
+            terms_L, terms_A = angle_terms(kind, theta)
+            assert terms_A is terms_L  # tangential: one table, one gather per plane
+            table = terms_L.view(Recorded)
+            return table, table
+
+        monkeypatch.setattr(extremal_search.catalog, "evaluate_batch", counting)
+        monkeypatch.setattr(extremal_search, "angle_terms", recorded_terms)
+        grid_scan("BASIC", n, resolution=resolution, kind=PolygonKind.TANGENTIAL)
+        assert sum(evaluated) == len(expected)
+        assert [tuple(int(j) for j in row) for row in np.concatenate(gathered)] == expected
+
     def test_lattice_count_matches_enumeration(self):
         # brute count for a small case: compositions of 12 into 3 parts <= 5
         count = 0
@@ -125,6 +158,35 @@ class TestOracleAgreement:
         lip = _lipschitz_estimate(entry_id, 3, scan.grid_argmin, scan.step, kind)
         assert res.best_slack <= scan.grid_min_slack + 1e-12
         assert scan.grid_min_slack - res.best_slack <= 2.0 * lip * scan.step + 1e-10
+
+
+class TestNonFiniteSlack:
+    """A slack that leaves the float range is an error naming the case."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_grid_scan_refuses_nan_slacks(self, n):
+        # At n = 3, 84 of the 406 lattice slacks are nan (inf - inf) and the
+        # finite minimum is 3.6e229; no minimum over the rest is reported.
+        with pytest.raises(errors.NonFiniteValue,
+                           match=rf"^T31A \(tangential, n={n}, alpha=120, k=None\): "):
+            grid_scan("T31A", n, alpha=120, resolution=60, kind=PolygonKind.TANGENTIAL)
+
+    def test_minimize_refuses_when_no_descent_ends_finite(self):
+        with pytest.raises(errors.NonFiniteValue,
+                           match=r"^T31A \(tangential, n=3, alpha=120, k=None\): "):
+            minimize_slack("T31A", 3, alpha=120, starts=2, kind=PolygonKind.TANGENTIAL)
+
+    @pytest.mark.parametrize("search", [
+        lambda: grid_scan("T41A", 3, alpha=120, k=9, resolution=60),
+        lambda: minimize_slack("T41A", 3, alpha=120, k=9, starts=2),
+        lambda: falsify("T41A", 3, alpha=120, k=9, budget_evals=100),
+    ], ids=["grid_scan", "minimize_slack", "falsify"])
+    def test_python_float_overflow_is_named(self, search):
+        """(2 R tan(pi/n))**alpha overflows as a Python float, not an array."""
+        with pytest.raises(errors.NonFiniteValue,
+                           match=r"^T41A \(tangential, n=3, alpha=120, k=9\): ") as info:
+            search()
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 class TestFalsify:

@@ -61,7 +61,12 @@ def test_verify_sweep_matches_per_entry_measurement(kind, n):
 
 
 def _grid_reference(entry, n, kind, alpha, k, resolution, margin=1e-6):
-    """grid_scan's (min, argmin) with evaluate_batch(pts) on every plane."""
+    """grid_scan's (min, argmin) over every composition of ``resolution``.
+
+    Every lattice point is evaluated at its ascending angle row, with
+    evaluate_batch(pts) on each plane; ties go to the lexicographically
+    smallest sorted index tuple.
+    """
     step, hi = extremal_search._lattice_params(n, resolution, margin)
     axis = np.arange(1, hi + 1)
     best = [float("inf"), None]
@@ -73,15 +78,15 @@ def _grid_reference(entry, n, kind, alpha, k, resolution, margin=1e-6):
         if not mask.any():
             return
         ja, jb, jc = ja[mask], jb[mask], jc[mask]
-        pts = np.empty((ja.size, n))
-        for pos, val in enumerate(prefix):
-            pts[:, pos] = margin + val * step
-        for pos, col in enumerate((ja, jb, jc), start=len(prefix)):
-            pts[:, pos] = margin + col * step
-        slack = evaluate_batch(entry, kind, 1.0, pts, alpha, k)["slack"]
-        i = int(np.argmin(slack))
-        if slack[i] < best[0]:
-            best[:] = [float(slack[i]), tuple(pts[i])]
+        rows = np.empty((ja.size, n), dtype=int)
+        rows[:, :len(prefix)] = prefix
+        rows[:, len(prefix):] = np.stack([ja, jb, jc], axis=1)
+        rows.sort(axis=1)
+        slack = evaluate_batch(entry, kind, 1.0, margin + rows * step, alpha, k)["slack"]
+        low = slack.min()
+        j = min(tuple(int(v) for v in row) for row in rows[slack == low])
+        if (low, j) < tuple(best):
+            best[:] = [float(low), j]
 
     def walk(prefix, remaining):
         left = n - len(prefix)
@@ -93,7 +98,7 @@ def _grid_reference(entry, n, kind, alpha, k, resolution, margin=1e-6):
             walk(prefix + [j], remaining - j)
 
     walk([], resolution)
-    theta = best[1]
+    theta = [margin + j * step for j in best[1]]
     s = math.fsum(theta)
     return best[0], tuple(v * (math.pi / s) for v in theta)
 
@@ -120,6 +125,19 @@ def test_grid_scan_wide_rows_match_numpy_sum(kind):
     scan = grid_scan(entry, 8, resolution=13, kind=kind)
     assert (scan.grid_min_slack, scan.grid_argmin.values) == _grid_reference(
         entry, 8, kind, None, None, 13)
+
+
+@pytest.mark.parametrize("entry_id", ["BASIC", "ZHANG97", "T52", "T53"])
+def test_grid_scan_sums_sorted_rows(entry_id):
+    """A lattice point's value is the slack of its ascending angle row.
+
+    The orderings of one multiset of angles sum to floats that differ in
+    the last bits; a scan over every ordering finds a lower minimum here.
+    """
+    entry = get_entry(entry_id)
+    scan = grid_scan(entry, 3, resolution=100, kind=PolygonKind.CYCLIC)
+    assert (scan.grid_min_slack, scan.grid_argmin.values) == _grid_reference(
+        entry, 3, PolygonKind.CYCLIC, *entry.params.validate(None, None), 100)
 
 
 def _measure_exact_reference(kind, radius, angles, dps):
