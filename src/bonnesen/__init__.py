@@ -16,13 +16,8 @@ from .analytic_inequalities import (
     FunctionFamily,
     OdeCase,
     builtin_families,
-    convexity_matches_second_derivative,
     coupled_gradient_slack,
     family,
-    jensen_slack,
-    ode_residual_max,
-    power_gap_reverse_slack,
-    power_gap_slack,
 )
 from .extremal_search import (
     Counterexample,
@@ -57,22 +52,13 @@ from .polygon_core import (
 )
 from .records import SlackRecord
 from .schur_certifier import (
-    CenterExtremumReport,
     Classification,
-    DoublyStochasticMatrix,
-    ExtremumMode,
     SchurVerdict,
     SymmetricFunction,
-    apply_doubly_stochastic,
     certify,
-    extremum_at_center,
-    identity_matrix,
     linear_function,
-    permutation_matrix,
     power_gap_function,
     power_gap_reverse_function,
-    schur_condition_value,
-    uniform_matrix,
 )
 
 __version__ = "1.0.0"

@@ -1,18 +1,17 @@
-"""Scalar function families and the analytic slack evaluators.
+"""Scalar function families and the coupled-gradient slack.
 
-Three inequality shapes are evaluated over angle vectors theta with mean
-sigma, writing P = sum f(theta_i) and s = f(sigma):
+A family is a scalar function f with closed-form f' and f'', a domain and
+its convexity class. The convex positive families feed the power-sum gap
+functions, whose one formula each lives in
+:func:`bonnesen.schur_certifier.power_gap_function` and
+:func:`bonnesen.schur_certifier.power_gap_reverse_function`; on tangential
+polygons the catalog entries T31B and T41B are the tan family's gaps.
 
-  * Jensen:       P - n s            (>= 0 for convex f, <= 0 for concave)
-  * power gap:    P^(2a) - (n s)^a P^a >= s^a (P^a - (n s)^a)
-  * reverse gap:  P^(2a) - (n s)^a P^a <= P^(ka) - (n s)^(ka),  k >= 2
-  * coupled gap:  2 sum f(th_i) f'(ps_i) vs the two diagonal sums, for
-                  families satisfying f'^2 - f f'' = mu with constant mu;
-                  the inequality direction follows the signs of f' and f''.
-
-Slack is always signed so that a nonnegative value means the inequality
-holds as stated. Equality occurs exactly at the regular point (power and
-reverse gaps) or at theta = psi (coupled gap).
+The families with f'^2 - f f'' = mu constant feed the coupled gap,
+2 sum f(th_i) f'(ps_i) against the two diagonal sums; the inequality
+direction follows the signs of f' and f''. Its slack is signed so that a
+nonnegative value means the inequality holds, with equality exactly at
+theta = psi.
 
 Families carry hand-coded closed-form derivatives because the coupled gap
 needs f' to full accuracy near equality. All callables are numpy ufunc
@@ -28,16 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BadK,
-    MissingMu,
-    OutOfDomain,
-    ParamOutOfDomain,
-    TotalsDiffer,
-    WrongConvexityClass,
-)
+from .errors import MissingMu, OutOfDomain, ParamOutOfDomain, TotalsDiffer
 from .polygon_core import AngleVector
-from .records import EQUALITY_RTOL, SlackRecord, scale_tolerance
+from .records import SlackRecord
 
 
 class Convexity(str, Enum):
@@ -191,25 +183,6 @@ def family(name: str, **kwargs) -> FunctionFamily:
     raise KeyError(f"no builtin family named {name!r}")
 
 
-def convexity_matches_second_derivative(fam: FunctionFamily, points: int = 1000) -> bool:
-    """True when the declared class agrees with the sign of f'' on a grid."""
-    fpp = np.asarray(fam.f_double_prime(fam.grid(points)))
-    if fam.convexity == Convexity.STRICTLY_CONVEX:
-        return bool((fpp > 0.0).all())
-    return bool((fpp < 0.0).all())
-
-
-def ode_residual_max(fam: FunctionFamily, points: int = 1000) -> float:
-    """max |f'^2 - f f'' - mu| on a domain grid."""
-    if fam.mu is None:
-        raise MissingMu(f"family {fam.name!r} declares no mu")
-    x = fam.grid(points)
-    res = np.asarray(fam.f_prime(x)) ** 2 - np.asarray(fam.f(x)) * np.asarray(
-        fam.f_double_prime(x)
-    ) - fam.mu
-    return float(np.abs(res).max())
-
-
 def _check_domain(fam: FunctionFamily, theta: AngleVector) -> None:
     lo, hi = fam.domain
     for i, v in enumerate(theta.values):
@@ -218,90 +191,6 @@ def _check_domain(fam: FunctionFamily, theta: AngleVector) -> None:
                 f"angle {v!r} at index {i} outside {fam.name} domain ({lo!r}, {hi!r})",
                 index=i,
             )
-
-
-def _check_convex_positive(fam: FunctionFamily) -> None:
-    if fam.convexity != Convexity.STRICTLY_CONVEX or not fam.positivity:
-        raise WrongConvexityClass(
-            f"family {fam.name!r} is not strictly convex and positive"
-        )
-
-
-def _check_alpha(alpha: int) -> int:
-    if not isinstance(alpha, (int, np.integer)) or alpha < 1:
-        raise ParamOutOfDomain(f"alpha must be a positive integer, got {alpha!r}")
-    return int(alpha)
-
-
-def _check_k(k: int) -> int:
-    # Non-integer k rejected even though the formulas would evaluate.
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise BadK(f"k must be an integer >= 2, got {k!r}")
-    return int(k)
-
-
-def jensen_slack(fam: FunctionFamily, theta: AngleVector) -> float:
-    """sum f(theta_i) - n f(sigma).
-
-    Positive for strictly convex families away from the regular point;
-    the concave direction is the same quantity with its sign flipped.
-    """
-    _check_domain(fam, theta)
-    vals = np.asarray(fam.f(theta.to_array()), dtype=float)
-    return float(vals.sum() - theta.n * float(fam.f(theta.sigma)))
-
-
-def power_gap_slack(fam: FunctionFamily, theta: AngleVector, alpha: int) -> SlackRecord:
-    """Lower bound on the power-sum gap.
-
-    lhs = P^(2a) - (n s)^a P^a, rhs = s^a (P^a - (n s)^a); slack = lhs - rhs.
-    Requires a strictly convex, positive family; equality exactly at the
-    regular point.
-    """
-    alpha = _check_alpha(alpha)
-    _check_convex_positive(fam)
-    _check_domain(fam, theta)
-    n = theta.n
-    P = float(np.asarray(fam.f(theta.to_array()), dtype=float).sum())
-    s = float(fam.f(theta.sigma))
-    ns = n * s
-    lhs = P ** (2 * alpha) - ns**alpha * P**alpha
-    rhs = s**alpha * (P**alpha - ns**alpha)
-    slack = lhs - rhs
-    scale = max(1.0, P ** (2 * alpha), ns**alpha * P**alpha,
-                s**alpha * P**alpha, s**alpha * ns**alpha)
-    return SlackRecord(
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=abs(slack) <= scale_tolerance(lhs, rhs, EQUALITY_RTOL),
-        scale=scale, alpha=alpha, n=n,
-    )
-
-
-def power_gap_reverse_slack(
-    fam: FunctionFamily, theta: AngleVector, alpha: int, k: int
-) -> SlackRecord:
-    """Upper bound on the same gap: lhs <= P^(ka) - (n s)^(ka), k >= 2.
-
-    slack = rhs - lhs, nonnegative with equality exactly at the regular point.
-    """
-    alpha = _check_alpha(alpha)
-    k = _check_k(k)
-    _check_convex_positive(fam)
-    _check_domain(fam, theta)
-    n = theta.n
-    P = float(np.asarray(fam.f(theta.to_array()), dtype=float).sum())
-    s = float(fam.f(theta.sigma))
-    ns = n * s
-    lhs = P ** (2 * alpha) - ns**alpha * P**alpha
-    rhs = P ** (k * alpha) - ns ** (k * alpha)
-    slack = rhs - lhs
-    scale = max(1.0, P ** (2 * alpha), ns**alpha * P**alpha,
-                P ** (k * alpha), ns ** (k * alpha))
-    return SlackRecord(
-        lhs=lhs, rhs=rhs, slack=slack,
-        equality=abs(slack) <= scale_tolerance(lhs, rhs, EQUALITY_RTOL),
-        scale=scale, alpha=alpha, k=k, n=n,
-    )
 
 
 def coupled_gradient_slack(

@@ -43,24 +43,8 @@ class RejectionBudgetExceeded(BonnesenError):
     """Rejection sampling exhausted its draw budget; the margin is too tight."""
 
 
-class DimensionMismatch(BonnesenError):
-    """Matrix and vector shapes do not agree."""
-
-
-class NotDoublyStochastic(BonnesenError):
-    """Matrix entries are negative or a row/column sum is off by more than 1e-12."""
-
-
 class TooCloseToBoundary(BonnesenError):
     """Point lacks the clearance a finite-difference stencil needs."""
-
-
-class WrongConvexityClass(BonnesenError):
-    """Operation requires a strictly convex, positive function family."""
-
-
-class BadK(BonnesenError):
-    """Exponent k must be an integer >= 2."""
 
 
 class TotalsDiffer(BonnesenError):

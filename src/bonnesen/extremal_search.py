@@ -554,7 +554,11 @@ def falsify(
             while len(lanes) < width and lanes.spent < budget_evals:
                 lanes.add(launched, _start_point(seed, launched, n, margin))
                 launched += 1
-            for d in lanes.step():
+            # A descent that overflows ends at a non-finite slack and is
+            # skipped below, not warned about.
+            with np.errstate(over="ignore", invalid="ignore"):
+                stepped = lanes.step()
+            for d in stepped:
                 finished[d.start] = d
             continue
         d = finished.pop(settled)

@@ -1,4 +1,4 @@
-"""Function families, Jensen, power-sum gaps and the coupled inequality."""
+"""Function families, Jensen, the power-sum gap functions and the coupled inequality."""
 
 import math
 
@@ -14,16 +14,14 @@ from bonnesen import (
     PolygonKind,
     PolygonModel,
     builtin_families,
-    convexity_matches_second_derivative,
     coupled_gradient_slack,
     errors,
+    evaluate,
     family,
-    jensen_slack,
     make_angle_vector,
     measure,
-    ode_residual_max,
-    power_gap_reverse_slack,
-    power_gap_slack,
+    power_gap_function,
+    power_gap_reverse_function,
     regular_angles,
     sample_simplex_batch,
 )
@@ -33,6 +31,30 @@ PI = math.pi
 
 def probe_triangle():
     return make_angle_vector([0.4 * PI, 0.3 * PI, 0.3 * PI], PI)
+
+
+def tangential(av):
+    return PolygonModel(PolygonKind.TANGENTIAL, 1.0, av)
+
+
+def gap_sides(fam, x, alpha, k=None):
+    """(lhs, rhs) of the power gap (k None) or reverse gap, for tolerance scales.
+
+    lhs = P^(2a) - (n s)^a P^a, and rhs = s^a (P^a - (n s)^a) for the lower
+    bound or P^(ka) - (n s)^(ka) for the reverse one; x is (n,) or (m, n).
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    P = np.asarray(fam.f(pts)).sum(axis=1)
+    s = np.asarray(fam.f(pts.mean(axis=1)))
+    ns = pts.shape[1] * s
+    lhs = P ** (2 * alpha) - ns**alpha * P**alpha
+    if k is None:
+        rhs = s**alpha * (P**alpha - ns**alpha)
+    else:
+        rhs = P ** (k * alpha) - ns ** (k * alpha)
+    if np.ndim(x) == 1:
+        return float(lhs[0]), float(rhs[0])
+    return lhs, rhs
 
 
 MU_CASES = {
@@ -51,7 +73,11 @@ class TestBuiltinFamilies:
 
     @pytest.mark.parametrize("fam", builtin_families(), ids=lambda f: f.name)
     def test_convexity_class_matches_second_derivative(self, fam):
-        assert convexity_matches_second_derivative(fam, points=1000)
+        fpp = np.asarray(fam.f_double_prime(fam.grid(1000)))
+        if fam.convexity == Convexity.STRICTLY_CONVEX:
+            assert (fpp > 0.0).all()
+        else:
+            assert (fpp < 0.0).all()
 
     @pytest.mark.parametrize("fam", builtin_families(), ids=lambda f: f.name)
     def test_positivity_on_grid(self, fam):
@@ -59,7 +85,11 @@ class TestBuiltinFamilies:
 
     @pytest.mark.parametrize("name", sorted(MU_CASES))
     def test_mu_residual(self, name):
-        assert ode_residual_max(family(name), points=1000) <= 1e-10
+        # f'^2 - f f'' = mu on a domain grid.
+        fam = family(name)
+        x = fam.grid(1000)
+        residual = fam.f_prime(x) ** 2 - fam.f(x) * fam.f_double_prime(x) - fam.mu
+        assert np.abs(residual).max() <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(MU_CASES))
     def test_case_assignment(self, name):
@@ -80,22 +110,23 @@ class TestBuiltinFamilies:
             builtin_families(bound=1.0, cosh_shift=0.5)
 
 
+def jensen_gap(fam, av):
+    """sum f(theta_i) - n f(sigma): >= 0 for convex f, <= 0 for concave f."""
+    return float(np.asarray(fam.f(av.to_array())).sum() - av.n * fam.f(av.sigma))
+
+
 class TestJensen:
     def test_regular_point_is_tight(self):
-        assert jensen_slack(family("tan"), regular_angles(3, PI)) == pytest.approx(0.0, abs=1e-14)
+        assert jensen_gap(family("tan"), regular_angles(3, PI)) == pytest.approx(0.0, abs=1e-14)
 
     def test_tan_probe_value(self):
-        assert jensen_slack(family("tan"), probe_triangle()) == pytest.approx(
+        assert jensen_gap(family("tan"), probe_triangle()) == pytest.approx(
             oracle.JENSEN_TAN, rel=1e-11)
 
     def test_sin_probe_value_is_nonpositive(self):
-        val = jensen_slack(family("sin"), probe_triangle())
+        val = jensen_gap(family("sin"), probe_triangle())
         assert val == pytest.approx(oracle.JENSEN_SIN, rel=1e-11)
         assert val < 0.0
-
-    def test_out_of_domain(self):
-        with pytest.raises(errors.OutOfDomain):
-            jensen_slack(family("square"), AngleVector((1.2, 0.9, 0.9), 3.0))
 
     @pytest.mark.parametrize("name", ["tan", "sec", "csc"])
     def test_convex_families_strictly_positive_off_center(self, name):
@@ -103,67 +134,61 @@ class TestJensen:
         for row in pts:
             av = AngleVector(tuple(row), PI)
             if av.max_deviation() > 1e-3:
-                assert jensen_slack(family(name), av) > 0.0
+                assert jensen_gap(family(name), av) > 0.0
 
 
 class TestPowerGap:
     def test_regular_point_zero(self):
-        rec = power_gap_slack(family("tan"), regular_angles(3, PI), 1)
-        assert rec.lhs == pytest.approx(0.0, abs=1e-12)
-        assert rec.rhs == pytest.approx(0.0, abs=1e-12)
-        assert rec.equality
+        x = regular_angles(3, PI).to_array()
+        assert power_gap_function(family("tan"), 3, 1).evaluate(x) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_probe_values(self):
-        rec = power_gap_slack(family("tan"), probe_triangle(), 1)
+        # T31B on a tangential polygon is the tan family's power gap.
+        rec = evaluate("T31B", tangential(probe_triangle()), alpha=1)
         assert rec.lhs == pytest.approx(oracle.POWER_GAP_TAN_LHS, rel=1e-11)
         assert rec.rhs == pytest.approx(oracle.POWER_GAP_TAN_RHS, rel=1e-11)
+        F = power_gap_function(family("tan"), 3, 1)
+        assert F.evaluate(probe_triangle().to_array()) == pytest.approx(
+            oracle.POWER_GAP_TAN_SLACK, rel=1e-11)
         assert rec.slack == pytest.approx(oracle.POWER_GAP_TAN_SLACK, rel=1e-11)
         assert not rec.equality
 
     def test_sec_regular_alpha2(self):
-        rec = power_gap_slack(family("sec"), regular_angles(4, PI), 2)
-        assert rec.slack == pytest.approx(0.0, abs=1e-10)
-        assert rec.equality
+        F = power_gap_function(family("sec"), 4, 2)
+        assert F.evaluate(regular_angles(4, PI).to_array()) == pytest.approx(0.0, abs=1e-10)
 
     def test_square_family_unit_total(self):
-        av = make_angle_vector([0.4, 0.3, 0.2, 0.1], 1.0, bound=1.0)
-        rec = power_gap_slack(family("square"), av, 1)
-        assert rec.lhs == pytest.approx(0.015, rel=1e-12)
-        assert rec.rhs == pytest.approx(0.003125, rel=1e-12)
-        assert rec.slack == pytest.approx(0.011875, rel=1e-12)
-
-    def test_concave_family_rejected(self):
-        with pytest.raises(errors.WrongConvexityClass):
-            power_gap_slack(family("sin"), probe_triangle(), 1)
-
-    def test_bad_alpha(self):
-        with pytest.raises(errors.ParamOutOfDomain):
-            power_gap_slack(family("tan"), probe_triangle(), 0)
+        x = make_angle_vector([0.4, 0.3, 0.2, 0.1], 1.0, bound=1.0).to_array()
+        F = power_gap_function(family("square"), 4, 1)
+        assert F.evaluate(x) == pytest.approx(0.011875, rel=1e-12)
 
 
 class TestReverseGap:
+    # The reverse gap function is lhs - rhs, so its slack is -F.
     def test_regular_point_zero(self):
+        x = regular_angles(3, PI).to_array()
         for alpha, k in [(1, 2), (2, 3), (3, 2)]:
-            rec = power_gap_reverse_slack(family("tan"), regular_angles(3, PI), alpha, k)
-            assert rec.equality
-            assert abs(rec.slack) <= 1e-10 * rec.scale
+            lhs, rhs = gap_sides(family("tan"), x, alpha, k)
+            F = power_gap_reverse_function(family("tan"), 3, alpha, k)
+            assert abs(F.evaluate(x)) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
     def test_probe_values_k3(self):
-        rec = power_gap_reverse_slack(family("tan"), probe_triangle(), 1, 3)
+        # T41B on a tangential polygon is the tan family's reverse gap.
+        rec = evaluate("T41B", tangential(probe_triangle()), alpha=1, k=3)
         assert rec.lhs == pytest.approx(oracle.POWER_GAP_TAN_LHS, rel=1e-11)
         assert rec.rhs == pytest.approx(oracle.REVERSE_GAP_TAN_K3_RHS, rel=1e-11)
+        F = power_gap_reverse_function(family("tan"), 3, 1, 3)
+        assert -F.evaluate(probe_triangle().to_array()) == pytest.approx(
+            oracle.REVERSE_GAP_TAN_K3_SLACK, rel=1e-11)
         assert rec.slack == pytest.approx(oracle.REVERSE_GAP_TAN_K3_SLACK, rel=1e-11)
 
     def test_csc_probe_positive(self):
-        rec = power_gap_reverse_slack(family("csc"), probe_triangle(), 1, 3)
+        F = power_gap_reverse_function(family("csc"), 3, 1, 3)
+        slack = -F.evaluate(probe_triangle().to_array())
         ref = oracle.reverse_gap_values("csc", oracle.probe_angles(), PI, 1, 3)
-        assert rec.slack == pytest.approx(float(ref["slack"]), rel=1e-12)
-        assert rec.slack > 0.0
-
-    @pytest.mark.parametrize("bad_k", [1, 0, -2, 2.5])
-    def test_bad_k(self, bad_k):
-        with pytest.raises(errors.BadK):
-            power_gap_reverse_slack(family("tan"), probe_triangle(), 1, bad_k)
+        assert slack == pytest.approx(float(ref["slack"]), rel=1e-12)
+        assert slack > 0.0
 
 
 class TestGapSoundnessSampled:
@@ -181,9 +206,9 @@ class TestGapSoundnessSampled:
         for n in (3, 5, 8):
             pts = sample_simplex_batch(n, total, 1e-4, 200,
                                        seed=[7, n, alpha], bound=fam.domain[1])
-            for row in pts:
-                rec = power_gap_slack(fam, AngleVector(tuple(row), total), alpha)
-                assert rec.slack >= -1e-10 * max(1.0, abs(rec.lhs))
+            slack = power_gap_function(fam, n, alpha).evaluate(pts)
+            lhs, _ = gap_sides(fam, pts, alpha)
+            assert (slack >= -1e-10 * np.maximum(1.0, np.abs(lhs))).all()
 
     @pytest.mark.parametrize("name,total", FAMS_REVERSE, ids=lambda p: str(p))
     @pytest.mark.parametrize("alpha,k", [(1, 2), (2, 3), (3, 2)])
@@ -192,29 +217,27 @@ class TestGapSoundnessSampled:
         for n in (3, 5, 8):
             pts = sample_simplex_batch(n, total, 1e-4, 200,
                                        seed=[8, n, alpha, k], bound=fam.domain[1])
-            for row in pts:
-                rec = power_gap_reverse_slack(fam, AngleVector(tuple(row), total), alpha, k)
-                assert rec.slack >= -1e-10 * max(1.0, abs(rec.rhs))
+            slack = -power_gap_reverse_function(fam, n, alpha, k).evaluate(pts)
+            _, rhs = gap_sides(fam, pts, alpha, k)
+            assert (slack >= -1e-10 * np.maximum(1.0, np.abs(rhs))).all()
 
     def test_reverse_gap_fails_for_small_power_sums(self):
         # Regression pin: with P = sum x_i^2 < 1 the reverse bound is not
         # generally true. The ratio of the two sides' growth near the center is
         # k (n s)^((k-2)a) < 1 for n s = 1/3, k = 3, a = 2, so slack must
         # go negative close to the regular point.
-        fam = family("square")
-        av = make_angle_vector([1 / 3 + 0.02, 1 / 3 - 0.01, 1 / 3 - 0.01], 1.0, bound=1.0)
-        rec = power_gap_reverse_slack(fam, av, 2, 3)
-        assert rec.slack < 0.0
+        x = make_angle_vector([1 / 3 + 0.02, 1 / 3 - 0.01, 1 / 3 - 0.01], 1.0, bound=1.0)
+        assert -power_gap_reverse_function(family("square"), 3, 2, 3).evaluate(
+            x.to_array()) < 0.0
 
     def test_strictness_away_from_center(self):
         fam = family("tan")
+        lower = power_gap_function(fam, 4, 2)
+        reverse = power_gap_reverse_function(fam, 4, 2, 3)
         pts = sample_simplex_batch(4, PI, 1e-4, 300, seed=77)
-        for row in pts:
-            av = AngleVector(tuple(row), PI)
-            if av.max_deviation() <= 1e-3:
-                continue
-            assert power_gap_slack(fam, av, 2).slack > 1e-10
-            assert power_gap_reverse_slack(fam, av, 2, 3).slack > 1e-10
+        off = pts[np.abs(pts - PI / 4).max(axis=1) > 1e-3]
+        assert (lower.evaluate(off) > 1e-10).all()
+        assert (-reverse.evaluate(off) > 1e-10).all()
 
 
 class TestCoupledGap:
@@ -241,6 +264,11 @@ class TestCoupledGap:
                 make_angle_vector([0.3, 0.3, 0.3], 0.9, bound=1.0),
                 make_angle_vector([0.2, 0.3, 0.3], 0.8, bound=1.0),
             )
+
+    def test_out_of_domain(self):
+        av = AngleVector((1.2, 0.9, 0.9), 3.0)
+        with pytest.raises(errors.OutOfDomain):
+            coupled_gradient_slack(family("sinh"), av, av)
 
     def test_family_without_mu_rejected(self):
         av = probe_triangle()

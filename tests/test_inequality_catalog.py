@@ -19,8 +19,8 @@ from bonnesen import (
     get_entry,
     list_entries,
     make_angle_vector,
-    power_gap_reverse_slack,
-    power_gap_slack,
+    power_gap_function,
+    power_gap_reverse_function,
     regular_angles,
     sample_simplex_batch,
     sign_flipped,
@@ -286,21 +286,20 @@ class TestCatalogProperties:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_tangential_gaps_match_analytic_layer(self, n):
         # On tangential polygons A/R^2 = L/2R = sum tan(theta) and
-        # d_n = n tan(pi/n), so T31B is the tan family's power gap and
-        # T41B its reverse gap, term for term.
+        # d_n = n tan(pi/n), so T31B's slack is the tan family's power gap
+        # function and T41B's the negated reverse gap function.
         tan = family("tan")
         for row in sample_simplex_batch(n, PI, 1e-3, 20, seed=[73, n]):
             av = AngleVector(tuple(row), PI)
             for a in (1, 2, 3):
                 pairs = [(evaluate("T31B", tangential(av), alpha=a),
-                          power_gap_slack(tan, av, a))]
+                          power_gap_function(tan, n, a).evaluate(row))]
                 pairs += [(evaluate("T41B", tangential(av), alpha=a, k=k),
-                           power_gap_reverse_slack(tan, av, a, k)) for k in (2, 3)]
+                           -power_gap_reverse_function(tan, n, a, k).evaluate(row))
+                          for k in (2, 3)]
                 for rec, gap in pairs:
-                    tol = 1e-12 * rec.scale
-                    assert rec.lhs == pytest.approx(gap.lhs, abs=tol), (rec.entry_id, a)
-                    assert rec.rhs == pytest.approx(gap.rhs, abs=tol), (rec.entry_id, a)
-                    assert rec.slack == pytest.approx(gap.slack, abs=tol), (rec.entry_id, a)
+                    assert rec.slack == pytest.approx(gap, abs=1e-12 * rec.scale), (
+                        rec.entry_id, a)
 
     def test_every_entry_matches_independent_formula(self):
         # Dual-route check: lhs and rhs of every entry, recomputed with

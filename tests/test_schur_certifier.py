@@ -1,4 +1,4 @@
-"""Schur condition, doubly stochastic averaging, sampling certification."""
+"""Schur condition, sampling certification and the gap functions' extrema."""
 
 import math
 
@@ -7,22 +7,14 @@ import pytest
 
 from bonnesen import (
     Classification,
-    DoublyStochasticMatrix,
-    ExtremumMode,
     SymmetricFunction,
-    apply_doubly_stochastic,
     certify,
     errors,
-    extremum_at_center,
     family,
-    identity_matrix,
     linear_function,
-    permutation_matrix,
     power_gap_function,
     power_gap_reverse_function,
     sample_simplex_batch,
-    schur_condition_value,
-    uniform_matrix,
 )
 from bonnesen.schur_certifier import (
     finite_difference_partial,
@@ -33,62 +25,33 @@ PI = math.pi
 PROBE = np.array([0.4 * PI, 0.3 * PI, 0.3 * PI])
 
 
-class TestDoublyStochastic:
-    def test_uniform_averages_to_center(self):
-        out = apply_doubly_stochastic(uniform_matrix(3), PROBE)
-        assert np.abs(out - PI / 3).max() <= 1e-13
-        assert out.sum() == pytest.approx(PROBE.sum(), rel=1e-13)
-
-    def test_identity_fixes_point(self):
-        out = apply_doubly_stochastic(identity_matrix(3), PROBE)
-        assert np.array_equal(out, PROBE)
-
-    def test_permutation_permutes(self):
-        out = apply_doubly_stochastic(permutation_matrix([2, 0, 1]), PROBE)
-        assert out == pytest.approx([PROBE[2], PROBE[0], PROBE[1]])
-        assert out.sum() == pytest.approx(PROBE.sum(), rel=1e-13)
-
-    def test_uniform_on_random_points(self):
-        pts = sample_simplex_batch(5, PI, 1e-4, 50, seed=2)
-        P = uniform_matrix(5)
-        for row in pts:
-            out = apply_doubly_stochastic(P, row)
-            assert np.abs(out - PI / 5).max() <= 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(errors.DimensionMismatch):
-            apply_doubly_stochastic(uniform_matrix(4), PROBE)
-
-    def test_bad_row_sum_rejected(self):
-        with pytest.raises(errors.NotDoublyStochastic):
-            DoublyStochasticMatrix(np.array([[0.7, 0.2], [0.3, 0.8]]))
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(errors.NotDoublyStochastic):
-            DoublyStochasticMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))
+def condition(F, x, i=0, j=1):
+    """The Schur condition (x_i - x_j) (dF/dx_i - dF/dx_j) at one point."""
+    return float((x[i] - x[j]) * (partial_value(F, i, x) - partial_value(F, j, x)))
 
 
 class TestConditionValue:
     def test_convex_gap_positive_at_probe(self):
         F = power_gap_function(family("tan"), 3, 1)
-        assert schur_condition_value(F, PROBE) > 0.0
+        assert condition(F, PROBE) > 0.0
 
     def test_reverse_gap_negative_at_probe(self):
         F = power_gap_reverse_function(family("tan"), 3, 1, 3)
-        assert schur_condition_value(F, PROBE) < 0.0
+        assert condition(F, PROBE) < 0.0
 
     def test_zero_when_pair_coordinates_equal(self):
         F = power_gap_function(family("tan"), 3, 2)
         x = np.array([0.3 * PI, 0.3 * PI, 0.4 * PI])
-        assert schur_condition_value(F, x) == 0.0
+        assert condition(F, x) == 0.0
 
     def test_boundary_clearance_required(self):
         F = power_gap_function(family("tan"), 3, 1)
         x = np.array([PI / 2 - 1e-9, PI / 4, PI / 4 + 1e-9])
         with pytest.raises(errors.TooCloseToBoundary):
-            schur_condition_value(F, x)
+            finite_difference_partial(F, 0, x)
 
     def test_pair_choice_matches_swapped_default_pair(self):
+        # certify checks only the (0, 1) pair; symmetry makes that enough.
         F = power_gap_function(family("tan"), 4, 2)
         pts = sample_simplex_batch(4, PI, 1e-3, 100, seed=17)
         for row in pts:
@@ -96,8 +59,8 @@ class TestConditionValue:
                 # Permutation putting coordinates (i, j) first; symmetry of F
                 # makes the (i, j) condition equal the (0, 1) condition there.
                 perm = [i, j] + [m for m in range(4) if m not in (i, j)]
-                direct = schur_condition_value(F, row, i, j)
-                via_perm = schur_condition_value(F, row[perm], 0, 1)
+                direct = condition(F, row, i, j)
+                via_perm = condition(F, row[perm], 0, 1)
                 assert direct == pytest.approx(via_perm, rel=1e-12, abs=1e-12)
 
 
@@ -172,42 +135,22 @@ class TestCertify:
 
 
 class TestExtremumAtCenter:
+    # A Schur-convex (concave) function takes its constrained minimum
+    # (maximum) at the barycenter; both gap functions vanish there.
     def test_convex_gap_minimum_is_zero_at_center(self):
         F = power_gap_function(family("tan"), 3, 1)
-        rep = extremum_at_center(F, PI, ExtremumMode.MIN, samples=2000, seed=29)
-        assert rep.holds
-        assert rep.center_value == pytest.approx(0.0, abs=1e-10)
-        assert rep.worst_margin >= -rep.center_value - 1e-9
+        center = F.evaluate(np.full(3, PI / 3))
+        vals = F.evaluate(sample_simplex_batch(3, PI, 1e-4, 2000, seed=29, bound=F.domain[1]))
+        assert center == pytest.approx(0.0, abs=1e-10)
+        assert (vals - center).min() >= -1e-9 * max(1.0, abs(center), np.abs(vals).max())
+        assert (vals - center).min() >= -center - 1e-9
 
     def test_reverse_gap_maximum_is_zero_at_center(self):
         F = power_gap_reverse_function(family("tan"), 3, 1, 3)
-        rep = extremum_at_center(F, PI, ExtremumMode.MAX, samples=2000, seed=29)
-        assert rep.holds
-        assert rep.center_value == pytest.approx(0.0, abs=1e-10)
-
-    def test_concave_quadratic_max_at_center(self):
-        def evaluate(x):
-            pts = np.atleast_2d(np.asarray(x, dtype=float))
-            out = -(pts**2).sum(axis=1)
-            return out[0] if np.asarray(x).ndim == 1 else out
-
-        F = SymmetricFunction(arity=4, domain=(0.0, PI / 2), evaluate=evaluate,
-                              name="neg-sum-squares")
-        rep = extremum_at_center(F, PI, ExtremumMode.MAX, samples=1000, seed=29)
-        assert rep.holds
-        assert rep.near_ties == 0  # no distinct maximizer found
-
-    def test_misplaced_extremum_is_refuted(self):
-        def evaluate(x):
-            pts = np.atleast_2d(np.asarray(x, dtype=float))
-            out = (pts**2).sum(axis=1)
-            return out[0] if np.asarray(x).ndim == 1 else out
-
-        F = SymmetricFunction(arity=3, domain=(0.0, PI / 2), evaluate=evaluate,
-                              name="sum-squares")
-        rep = extremum_at_center(F, PI, ExtremumMode.MAX, samples=500, seed=29)
-        assert not rep.holds
-        assert rep.witness is not None
+        center = F.evaluate(np.full(3, PI / 3))
+        vals = F.evaluate(sample_simplex_batch(3, PI, 1e-4, 2000, seed=29, bound=F.domain[1]))
+        assert center == pytest.approx(0.0, abs=1e-10)
+        assert (center - vals).min() >= -1e-9 * max(1.0, abs(center), np.abs(vals).max())
 
 
 class TestJensenConsequence:
