@@ -46,8 +46,7 @@ from .polygon_core import (
     PolygonModel,
     _check_margin_window,
     angle_terms,
-    eval_context,
-    regular_trig,
+    float_regular_part,
     seed_parts,
 )
 
@@ -446,7 +445,7 @@ def grid_scan(
     # The per-angle terms take one value per lattice index, so they are
     # tabulated once and every plane's sums are gathered from the tables.
     terms_L, terms_A = angle_terms(kind, margin + np.arange(hi + 1) * step)
-    trig = regular_trig(n)
+    regular = float_regular_part(kind, n, radius)
 
     # Vectorize the last three indices: a plane is the pairs ja <= jb in
     # lexicographic order, each completed by jc. Peel the leading indices
@@ -466,7 +465,7 @@ def grid_scan(
         rows = np.stack(np.broadcast_arrays(*prefix, *plane), axis=1)
         sum_L = terms_L[rows].sum(axis=1)
         sum_A = sum_L if terms_A is terms_L else terms_A[rows].sum(axis=1)
-        ctx = eval_context(kind, n, radius, sum_L, sum_A, *trig)
+        ctx = regular.context(sum_L, sum_A)
         try:
             slack = catalog.evaluate_batch(entry, kind, radius, ctx, alpha, k)["slack"]
         except OverflowError as exc:  # a power of Python floats in the sides
@@ -538,7 +537,9 @@ def falsify(
     Any candidate with slack below -1e-8 * scale is re-evaluated in
     high-precision mode; only an exact negative of the same magnitude is
     returned. None means no counterexample was found within budget, i.e.
-    the inequality survived falsification at this budget.
+    the inequality survived falsification at this budget. When no settled
+    descent ends at a finite slack the sides overflow, and NonFiniteValue
+    is raised, as :func:`minimize_slack` raises it.
     """
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
     fn = _objective(entry, kind, n, radius, alpha, k, margin)
@@ -547,6 +548,7 @@ def falsify(
     width = _falsify_lanes(budget_evals)
     finished: dict[int, _Descent] = {}
     spent = settled = launched = 0
+    any_finite = False
     while spent < budget_evals:
         if settled not in finished:
             # Start ``launched`` runs only if the starts before it spend
@@ -564,8 +566,11 @@ def falsify(
         d = finished.pop(settled)
         spent += d.evals
         settled += 1
+        if not math.isfinite(d.f):
+            continue  # overflowing sides; every start is feasible
+        any_finite = True
         theta = _angles_from_free(d.z[None, :], n, margin)[0]
-        if not math.isfinite(d.f) or (theta >= upper).any():
+        if (theta >= upper).any():
             continue  # descent never left the infeasible barrier
         angles = AngleVector(values=tuple(float(v) for v in theta), total=_TOTAL)
         poly = PolygonModel(kind=kind, radius=radius, angles=angles)
@@ -578,4 +583,6 @@ def falsify(
                     slack=std.slack, slack_exact=exact.slack,
                     scale=exact.scale, alpha=alpha, k=k,
                 )
+    if not any_finite:
+        raise catalog._overflow(entry, kind, n, alpha, k)
     return None

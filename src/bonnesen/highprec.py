@@ -11,41 +11,57 @@ from __future__ import annotations
 import functools
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import DomainViolation
-from .polygon_core import EvalContext, PolygonKind, eval_context
+from .polygon_core import EvalContext, PolygonKind, RegularPart, regular_part
 
 #: Default working precision (decimal digits) for exact re-evaluation.
 DEFAULT_DPS = 50
 
 MIN_DPS = 30
 
+#: The mp context's rounding mode, to nearest.
+_ROUND = libmp.round_nearest
+
 
 def measure_exact(kind: PolygonKind, radius, angles, dps: int = DEFAULT_DPS) -> EvalContext:
     """Closed-form polygon measurement with mpf arithmetic.
 
     The same closed forms as the float backend, with the per-row sums taken
-    by ``mp.fsum`` at ``dps`` digits. ``angles`` is any iterable of reals
-    summing to pi. Formulas evaluated on the result keep full precision
-    only inside an ``mp.workdps(dps)`` block of their own.
+    as ``mp.fsum`` takes them at ``dps`` digits. ``angles`` is a sequence
+    of reals summing to pi; floats convert to mpf exactly, other reals
+    round to ``dps`` digits. The trig values, products and sums run on
+    mpmath's raw mpf tuples (``mpmath.libmp``), the calls ``mp.tan``,
+    ``mp.cos_sin`` and ``mp.fsum`` make inside, so the results are theirs
+    bit for bit without an mpf object per term. The regular polygon's part
+    of the context comes from :func:`_regular_part`. Formulas evaluated on
+    the result keep full precision only inside an ``mp.workdps(dps)`` block
+    of their own.
     """
     if dps < MIN_DPS:
         raise DomainViolation(f"high-precision mode needs dps >= {MIN_DPS}, got {dps}")
     with mp.workdps(dps):
-        th = [mp.mpf(v) for v in angles]
-        n = len(th)
+        prec = mp.mp.prec
+
+        def fsum(terms):
+            return mp.mp.make_mpf(libmp.mpf_sum(terms, prec, _ROUND))
+
+        th = [libmp.from_float(t) if isinstance(t, float) else mp.mpf(t)._mpf_
+              for t in angles]
         if kind == PolygonKind.TANGENTIAL:
-            sum_L = sum_A = mp.fsum(mp.tan(t) for t in th)
+            sum_L = sum_A = fsum([libmp.mpf_tan(t, prec, _ROUND) for t in th])
         else:
-            cos_sin = [mp.cos_sin(t) for t in th]
-            sum_L = mp.fsum(s for _, s in cos_sin)
-            sum_A = mp.fsum(s * c for c, s in cos_sin)
-        return eval_context(kind, n, mp.mpf(radius), sum_L, sum_A, *_pi_over_n_trig(n, dps))
+            cos_sin = [libmp.mpf_cos_sin(t, prec, _ROUND) for t in th]
+            sum_L = fsum([s for _, s in cos_sin])
+            sum_A = fsum([libmp.mpf_mul(s, c, prec, _ROUND) for c, s in cos_sin])
+        return _regular_part(kind, len(th), radius, dps).context(sum_L, sum_A)
 
 
 @functools.lru_cache(maxsize=256)
-def _pi_over_n_trig(n: int, dps: int):
-    """tan, sin and cos of pi/n at ``dps`` digits, shared: mpf values are immutable."""
+def _regular_part(kind: PolygonKind, n: int, radius, dps: int) -> RegularPart:
+    """L*, A*, d_n and the trig values of pi/n at ``dps`` digits, per
+    (kind, n, radius, dps); shared, as mpf values are immutable."""
     with mp.workdps(dps):
         pin = mp.pi / n
-        return mp.tan(pin), mp.sin(pin), mp.cos(pin)
+        return regular_part(kind, n, mp.mpf(radius), mp.tan(pin), mp.sin(pin), mp.cos(pin))

@@ -117,14 +117,23 @@ class CatalogEntry:
         return kind in self.kinds
 
 
+# Many entries share a deficit side, so each is built once per context
+# and alpha and kept in the context's memo.
+
 def _deficit(c, a):
     """L^(2a) - (4 d_n A)^a."""
-    return 1, (c.L ** (2 * a), -(4 * c.dn * c.A) ** a)
+    key = ("deficit", a)
+    if key not in c.memo:
+        c.memo[key] = 1, (c.L ** (2 * a), -(4 * c.dn * c.A) ** a)
+    return c.memo[key]
 
 
 def _dimless(c, a):
     """(A/R^2)^(2a) - d_n^a (L/2R)^a."""
-    return 1, (c.A_hat ** (2 * a), -c.dn**a * c.L_hat**a)
+    key = ("dimless", a)
+    if key not in c.memo:
+        c.memo[key] = 1, (c.A_hat ** (2 * a), -c.dn**a * c.L_hat**a)
+    return c.memo[key]
 
 
 def _build_entries() -> tuple[CatalogEntry, ...]:
@@ -323,20 +332,22 @@ def _checked_params(entry: CatalogEntry, kind: PolygonKind, alpha, k):
     return entry.params.validate(alpha, k)
 
 
-def _evaluate_sides(entry: CatalogEntry, ctx: EvalContext, alpha, k, maximum):
+def _evaluate_sides(entry: CatalogEntry, ctx: EvalContext, alpha, k, maximum=None):
     """(lhs, rhs, slack, scale) of an entry on a context of any backend.
 
     ``maximum`` is the backend's two-argument max (``np.maximum`` for
-    arrays, ``max`` for mpf); scale is max(1, every |factor * term|).
+    arrays, ``max`` for mpf); scale is max(1, every |factor * term|). With
+    no ``maximum`` the scale is not computed and is None.
     """
-    values, scale = [], 1
+    values, scale = [], (None if maximum is None else 1)
     for factor, terms in entry.sides(ctx, alpha, k):
         value = sum(terms[1:], terms[0]) if terms else 0
         if factor != 1:
             value = factor * value
             terms = [factor * t for t in terms]
-        for t in terms:
-            scale = maximum(scale, abs(t))
+        if maximum is not None:
+            for t in terms:
+                scale = maximum(scale, abs(t))
         values.append(value)
     lhs, rhs = values
     slack = (lhs - rhs) if entry.direction == Direction.GE else (rhs - lhs)
@@ -360,21 +371,22 @@ def evaluate_batch(
     """Vectorized slack over rows of ``pts``; the sweep and grid workhorse.
 
     ``pts`` is an (m, n) array of angle rows, or the EvalContext that
-    ``measure_arrays`` (or ``eval_context``) built from such rows, so one
+    ``measure_arrays`` (or ``RegularPart.context``) built from such rows, so one
     measurement can serve many entries; ``radius`` is then unused, as the
     context holds R.
-    Returns arrays lhs, rhs, slack, scale plus the validated (alpha, k).
+    Returns arrays lhs, rhs and slack plus the validated (alpha, k). No
+    term scale: only the records of :func:`evaluate` and
+    :func:`evaluate_exact` carry one.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, kind, alpha, k)
     ctx = pts if isinstance(pts, EvalContext) else measure_arrays(
         kind, radius, np.asarray(pts, dtype=float))
-    lhs, rhs, slack, scale = _evaluate_sides(entry, ctx, a, kk, np.maximum)
+    lhs, rhs, slack, _ = _evaluate_sides(entry, ctx, a, kk)
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     if lhs.shape != rhs.shape:
         lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    return {"lhs": lhs, "rhs": rhs, "slack": slack, "scale": scale,
-            "alpha": a, "k": kk}
+    return {"lhs": lhs, "rhs": rhs, "slack": slack, "alpha": a, "k": kk}
 
 
 def evaluate(
@@ -383,12 +395,17 @@ def evaluate(
     alpha: int | None = None,
     k: int | None = None,
 ) -> SlackRecord:
-    """Slack record for one polygon; see the module docstring for signs."""
+    """Slack record for one polygon; see the module docstring for signs.
+
+    The values come from :func:`evaluate_batch` on the polygon's one-row
+    context, and the record's scale from the same sides on that context.
+    """
     entry = _resolve(entry_or_id)
-    out = evaluate_batch(entry, polygon.kind, polygon.radius,
-                         polygon.angles.to_array()[None, :], alpha, k)
+    ctx = measure_arrays(polygon.kind, polygon.radius, polygon.angles.to_array()[None, :])
+    out = evaluate_batch(entry, polygon.kind, polygon.radius, ctx, alpha, k)
+    scale = _evaluate_sides(entry, ctx, out["alpha"], out["k"], np.maximum)[3]
     return _record(entry, polygon, out["alpha"], out["k"],
-                   *(out[key][0] for key in ("lhs", "rhs", "slack", "scale")))
+                   *(out[key][0] for key in ("lhs", "rhs", "slack")), scale[0])
 
 
 def evaluate_exact(

@@ -24,6 +24,7 @@ no locking.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -92,7 +93,7 @@ class AngleVector:
 
     def angle_hash(self) -> str:
         """Stable 16-hex-digit fingerprint of the exact float values."""
-        packed = b"".join(struct.pack("<d", v) for v in self.values)
+        packed = struct.pack(f"<{len(self.values)}d", *self.values)
         return hashlib.sha256(packed).hexdigest()[:16]
 
 
@@ -182,7 +183,10 @@ def measure(p: PolygonModel) -> GeometricSummary:
 class EvalContext:
     """Measured quantities the catalog formulas need: float, array or mpf.
 
-    Built by :func:`eval_context` for every number backend.
+    Built by :meth:`RegularPart.context` for every number backend. The
+    normalized quantities are computed on first use and kept, as is
+    anything a formula stores in :attr:`memo`, so the entries evaluated on
+    one context share them.
     """
 
     R: object
@@ -194,45 +198,88 @@ class EvalContext:
     tan_pin: object
     cos_pin: object
 
-    @property
+    @functools.cached_property
     def L_hat(self):
         return self.L / (2 * self.R)
 
-    @property
+    @functools.cached_property
     def Lstar_hat(self):
         return self.Lstar / (2 * self.R)
 
-    @property
+    @functools.cached_property
     def A_hat(self):
         return self.A / (self.R * self.R)
 
-    @property
+    @functools.cached_property
     def Astar_hat(self):
         return self.Astar / (self.R * self.R)
 
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Terms derived from this context, kept for the entries that share it."""
+        return {}
 
-def eval_context(kind: PolygonKind, n: int, R, sum_L, sum_A,
-                 tan_pin, sin_pin, cos_pin) -> EvalContext:
-    """Closed-form measurement from a backend's sums and trig values.
 
-    ``sum_L`` and ``sum_A`` are the per-row sums with L = 2 R sum_L and
-    A = R^2 sum_A: sum tan(theta) for both when tangential, sum sin(theta)
-    and sum sin(theta) cos(theta) when cyclic. The trig values are those
-    of pi/n. Any backend whose numbers support + - * / and ** works.
+@dataclass(frozen=True)
+class RegularPart:
+    """The part of an EvalContext fixed by (kind, n, R): all but L and A.
+
+    Built by :func:`regular_part`; :meth:`context` completes it with a
+    batch's sums. Both backends build it once and reuse it: the float one
+    per (kind, n, R) (:func:`float_regular_part`), the mpmath one per
+    (kind, n, R, dps) (``highprec._regular_part``).
+    """
+
+    R: object
+    two_R: object
+    r2: object
+    Lstar: object
+    Astar: object
+    dn: object
+    tan_pin: object
+    cos_pin: object
+
+    def context(self, sum_L, sum_A) -> EvalContext:
+        """The context of rows with sums ``sum_L`` and ``sum_A``.
+
+        They are the per-row sums with L = 2 R sum_L and A = R^2 sum_A:
+        sum tan(theta) for both when tangential, sum sin(theta) and
+        sum sin(theta) cos(theta) when cyclic.
+        """
+        return EvalContext(
+            R=self.R, L=self.two_R * sum_L, A=self.r2 * sum_A, Lstar=self.Lstar,
+            Astar=self.Astar, dn=self.dn, tan_pin=self.tan_pin, cos_pin=self.cos_pin,
+        )
+
+
+def regular_part(kind: PolygonKind, n: int, R, tan_pin, sin_pin, cos_pin) -> RegularPart:
+    """The closed-form regular polygon: L*, A* and d_n from R and pi/n.
+
+    The trig values are those of pi/n. Any backend whose numbers support
+    + - * / and ** works.
     """
     r2 = R * R
     if kind == PolygonKind.TANGENTIAL:
         Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
     else:
         Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
-    return EvalContext(
-        R=R, L=2 * R * sum_L, A=r2 * sum_A, Lstar=Lstar, Astar=Astar,
-        dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin,
-    )
+    return RegularPart(R=R, two_R=2 * R, r2=r2, Lstar=Lstar, Astar=Astar,
+                       dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def float_regular_part(kind: PolygonKind, n: int, radius) -> RegularPart:
+    """The float regular part per (kind, n, radius).
+
+    Typed, so that a Python float radius keeps Python float constants
+    (whose powers raise OverflowError) apart from a numpy one.
+    """
+    pin = math.pi / n
+    return regular_part(kind, n, radius, math.tan(pin), math.sin(pin), math.cos(pin))
 
 
 def angle_terms(kind: PolygonKind, angles: np.ndarray):
-    """Per-angle summands of sum_L and sum_A (see :func:`eval_context`).
+    """Per-angle summands of sum_L and sum_A (see :meth:`RegularPart.context`).
 
     tan for both when tangential (one array, returned twice); sin and
     sin cos when cyclic. Elementwise, so a table of these terms over a
@@ -243,12 +290,6 @@ def angle_terms(kind: PolygonKind, angles: np.ndarray):
         return tan, tan
     sin = np.sin(angles)
     return sin, sin * np.cos(angles)
-
-
-def regular_trig(n: int) -> tuple[float, float, float]:
-    """tan, sin and cos of pi/n, the float trig values eval_context takes."""
-    pin = math.pi / n
-    return math.tan(pin), math.sin(pin), math.cos(pin)
 
 
 def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> EvalContext:
@@ -265,7 +306,7 @@ def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> Eval
     terms_L, terms_A = angle_terms(kind, angles)
     sum_L = terms_L.sum(axis=1)
     sum_A = sum_L if terms_A is terms_L else terms_A.sum(axis=1)
-    return eval_context(kind, n, radius, sum_L, sum_A, *regular_trig(n))
+    return float_regular_part(kind, n, radius).context(sum_L, sum_A)
 
 
 def seed_parts(seed) -> list[int]:
@@ -350,7 +391,11 @@ def sample_simplex_batch(
             )
         size = min(max(_CHUNK, count - have), 65536)
         cand = rng.dirichlet(np.ones(n), size=size) * total
-        ok = ((cand > margin) & (cand < bound - margin)).all(axis=1)
+        inside = (cand > margin) & (cand < bound - margin)
+        # AND of the columns: faster than .all(axis=1) over short rows.
+        ok = inside[:, 0].copy()
+        for j in range(1, n):
+            ok &= inside[:, j]
         good = cand[ok]
         if good.shape[0]:
             rows.append(good[: count - have])

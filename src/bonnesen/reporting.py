@@ -87,11 +87,15 @@ class ReportDocument:
 
 
 def determinism_hash(doc: dict) -> str:
-    """SHA-256 of the canonical JSON with timestamp and hash fields removed."""
-    stripped = json.loads(json.dumps(doc))
-    prov = stripped.get("provenance", {})
-    prov.pop("timestamp", None)
-    prov.pop("determinism_hash", None)
+    """SHA-256 of the canonical JSON with timestamp and hash fields removed.
+
+    Only the top level and the provenance block are copied, to leave the
+    two fields out; the rest is serialized as it stands, in one pass.
+    """
+    stripped = dict(doc)
+    if isinstance(stripped.get("provenance"), dict):
+        stripped["provenance"] = {key: value for key, value in stripped["provenance"].items()
+                                  if key not in ("timestamp", "determinism_hash")}
     blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -41,10 +41,11 @@ class SymmetricFunction:
     """A permutation-symmetric function on an open box domain.
 
     ``evaluate`` maps a point of shape (n,) or a batch (m, n) to a scalar
-    or (m,) array. ``partial`` maps (i, points) to the i-th partial
-    derivative, supplied in closed form where available; when None the
-    certifier falls back to central finite differences with step
-    :data:`FD_STEP`.
+    or (m,) array. ``partial`` maps (indices, batch) to a list of partial
+    derivatives over the (m, n) batch, one (m,) array per index, supplied
+    in closed form where available, so that work shared by the partials
+    is done once; when None the certifier falls back to central finite
+    differences with step :data:`FD_STEP`.
     """
 
     arity: int
@@ -80,12 +81,17 @@ def finite_difference_partial(
     return out[0] if single else out
 
 
+def partial_values(F: SymmetricFunction, indices, points) -> list[np.ndarray]:
+    """dF/dx_i at ``points`` for each i in ``indices``, from one F.partial call."""
+    if F.partial is None:
+        return [finite_difference_partial(F, i, points) for i in indices]
+    pts, single = _as_batch(points)
+    out = [np.asarray(d, dtype=float) for d in F.partial(indices, pts)]
+    return [d[0] for d in out] if single else out
+
+
 def partial_value(F: SymmetricFunction, i: int, points) -> np.ndarray:
-    if F.partial is not None:
-        pts, single = _as_batch(points)
-        out = np.asarray(F.partial(i, pts), dtype=float)
-        return out[0] if single else out
-    return finite_difference_partial(F, i, points)
+    return partial_values(F, (i,), points)[0]
 
 
 class Classification(str, Enum):
@@ -145,8 +151,7 @@ def certify(
         raise DomainViolation(f"samples must be >= 1, got {samples}")
     lo, hi = F.domain
     pts = sample_simplex_batch(F.arity, total, margin, samples, seed, bound=hi)
-    d1 = partial_value(F, 0, pts)
-    d2 = partial_value(F, 1, pts)
+    d1, d2 = partial_values(F, (0, 1), pts)
     diff = pts[:, 0] - pts[:, 1]
     values = diff * (d1 - d2)
     scale = float((np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
@@ -195,16 +200,15 @@ def _gap_function(fam: FunctionFamily, n: int, value: Callable,
         out = value(P, s)
         return out[0] if single else out
 
-    def partial(i, x):
-        pts, single = _as_batch(x)
+    def partial(indices, pts):
         P = np.asarray(fam.f(pts), dtype=float).sum(axis=1)
         sig = pts.mean(axis=1)
         s = np.asarray(fam.f(sig), dtype=float)
-        fp_i = np.asarray(fam.f_prime(pts[:, i]), dtype=float)
         fp_s = np.asarray(fam.f_prime(sig), dtype=float)
         d_P, d_s = gradient(P, s)
-        out = d_P * fp_i + (fp_s / n) * d_s
-        return out[0] if single else out
+        chain = (fp_s / n) * d_s
+        return [d_P * np.asarray(fam.f_prime(pts[:, i]), dtype=float) + chain
+                for i in indices]
 
     return SymmetricFunction(arity=n, domain=fam.domain, evaluate=evaluate,
                              partial=partial, name=name)
@@ -260,10 +264,8 @@ def linear_function(n: int, domain: tuple[float, float] = (0.0, math.pi / 2)) ->
         out = pts.sum(axis=1)
         return out[0] if single else out
 
-    def partial(i, x):
-        pts, single = _as_batch(x)
-        out = np.ones(pts.shape[0])
-        return out[0] if single else out
+    def partial(indices, pts):
+        return [np.ones(pts.shape[0]) for _ in indices]
 
     return SymmetricFunction(arity=n, domain=domain, evaluate=evaluate,
                              partial=partial, name=f"linear[n={n}]")

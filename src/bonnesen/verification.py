@@ -59,38 +59,38 @@ def verify_sweep(
         entries = list(catalog.list_entries(kind)) + [
             e for e in extra_entries if e.applies_to(kind)
         ]
+        cells = [(entry, a, kk) for entry in entries
+                 for a, kk in entry.params.combos(alpha_set, k_set)]
         for n in n_set:
             pts = sample_simplex_batch(
                 n, math.pi, margin, samples,
                 seed=seed_parts(seed) + [_KIND_INDEX[kind], n],
             )
             ctx = measure_arrays(kind, radius, pts)
-            for entry in entries:
-                for a, kk in entry.params.combos(alpha_set, k_set):
-                    # Overflow is reported below as NonFiniteValue, not
-                    # as numpy's warning.
+            # Overflow is reported below as NonFiniteValue, not as numpy's
+            # warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for entry, a, kk in cells:
                     try:
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
+                        out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
                     except OverflowError as exc:
                         raise catalog._overflow(entry, kind, n, a, kk) from exc
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]
-                    # A finite slack has finite sides: inf or nan in a side
-                    # carries into the difference.
-                    if not np.isfinite(slack).all():
-                        raise catalog._overflow(entry, kind, n, a, kk)
-                    side_scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-                    tol = tolerance_rtol * side_scale
-                    viol_idx = np.nonzero(slack < -tol)[0]
-                    if high_precision and viol_idx.size:
-                        viol_idx = _confirm_exact(
-                            entry, kind, radius, pts, a, kk, viol_idx, tolerance_rtol
-                        )
-                    eq_tol = EQUALITY_RTOL * side_scale
                     i_min = int(np.argmin(slack))
-                    argmin_angles = AngleVector(
-                        values=tuple(float(v) for v in pts[i_min]), total=math.pi
-                    )
+                    # A finite slack has finite sides: inf or nan in a side
+                    # carries into the difference, and argmin finds a nan.
+                    if not (math.isfinite(slack[i_min]) and math.isfinite(slack.max())):
+                        raise catalog._overflow(entry, kind, n, a, kk)
+                    side_scale = np.abs(lhs)
+                    np.maximum(side_scale, np.abs(rhs), out=side_scale)
+                    np.maximum(side_scale, 1.0, out=side_scale)
+                    violating = slack < -tolerance_rtol * side_scale
+                    violations = np.count_nonzero(violating)
+                    if high_precision and violations:
+                        violations = _confirm_exact(entry, kind, radius, pts, a, kk,
+                                                    np.flatnonzero(violating), tolerance_rtol)
+                    eq_tol = EQUALITY_RTOL * side_scale
+                    argmin_row = pts[i_min].tolist()
                     rows.append({
                         "entry_id": entry.id,
                         "citation": entry.citation,
@@ -101,31 +101,33 @@ def verify_sweep(
                         "k": kk,
                         "samples": int(samples),
                         "min_slack": float(slack[i_min]),
-                        "violations": int(viol_idx.size),
-                        "equality_hits": int((np.abs(slack) <= eq_tol).sum()),
-                        "negative_lhs": int((lhs < 0.0).sum()),
+                        "violations": int(violations),
+                        "equality_hits": int(np.count_nonzero(np.abs(slack) <= eq_tol)),
+                        "negative_lhs": int(np.count_nonzero(lhs < 0.0)),
                         "argmin": {
                             "lhs": float(lhs[i_min]),
                             "rhs": float(rhs[i_min]),
                             "slack": float(slack[i_min]),
                             "equality": bool(abs(slack[i_min]) <= eq_tol[i_min]),
-                            "angle_hash": argmin_angles.angle_hash(),
-                            "angles": [float(v) for v in pts[i_min]],
+                            "angle_hash": AngleVector(values=tuple(argmin_row),
+                                                      total=math.pi).angle_hash(),
+                            "angles": argmin_row,
                         },
                     })
-                    total_violations += int(viol_idx.size)
+                    total_violations += int(violations)
     return rows, total_violations
 
 
-def _confirm_exact(entry, kind, radius, pts, alpha, k, viol_idx, rtol):
-    confirmed = []
-    for i in viol_idx:
-        angles = AngleVector(values=tuple(float(v) for v in pts[i]), total=math.pi)
+def _confirm_exact(entry, kind, radius, pts, alpha, k, viol_idx, rtol) -> int:
+    """How many of the rows ``viol_idx`` of ``pts`` stay violations at 50 digits."""
+    confirmed = 0
+    for row in pts[viol_idx].tolist():
+        angles = AngleVector(values=tuple(row), total=math.pi)
         poly = PolygonModel(kind=kind, radius=radius, angles=angles)
         rec = catalog.evaluate_exact(entry, poly, alpha, k)
         if rec.slack < -rtol * max(1.0, abs(rec.lhs), abs(rec.rhs)):
-            confirmed.append(i)
-    return np.asarray(confirmed, dtype=int)
+            confirmed += 1
+    return confirmed
 
 
 #: Families each proof side is certified with by default.
@@ -221,8 +223,11 @@ def search_sweep(
 
     An anomaly is a certified negative best slack, an equality point away
     from the regular polygon, or a best slack still above ``miss_tol``
-    (the optimizer failed to reach the known zero minimum).
-    Returns (rows, anomalies).
+    (the optimizer failed to reach the known zero minimum). The
+    tolerances are relative: each is multiplied by the term scale (at
+    least 1) of the judged point, the best point of the descent or the
+    grid argmin, so float cancellation among large terms is not an
+    anomaly. Returns (rows, anomalies).
     """
     rows: list[dict] = []
     anomalies = 0
@@ -253,9 +258,10 @@ def search_sweep(
                     "converged": bool(res.converged),
                     "starts": int(res.starts),
                 }
-                bad = (res.best_slack < -slack_tol
-                       or res.best_slack > miss_tol
-                       or (abs(res.best_slack) <= slack_tol
+                scale = _term_scale(entry, kind, res.best_angles, a, kk)
+                bad = (res.best_slack < -slack_tol * scale
+                       or res.best_slack > miss_tol * scale
+                       or (abs(res.best_slack) <= slack_tol * scale
                            and res.distance_to_regular > distance_tol))
                 if n <= grid_n_max:
                     scan = extremal_search.grid_scan(
@@ -268,8 +274,15 @@ def search_sweep(
                         res.best_slack <= scan.grid_min_slack + 1e-9 * max(
                             1.0, abs(scan.grid_min_slack))
                     )
-                    bad = bad or scan.grid_min_slack < -slack_tol
+                    grid_scale = _term_scale(entry, kind, scan.grid_argmin, a, kk)
+                    bad = bad or scan.grid_min_slack < -slack_tol * grid_scale
                 row["anomaly"] = bool(bad)
                 anomalies += int(bad)
                 rows.append(row)
     return rows, anomalies
+
+
+def _term_scale(entry, kind, angles: AngleVector, alpha, k) -> float:
+    """max(1, every |term|) of an entry at the unit-radius polygon ``angles``."""
+    poly = PolygonModel(kind=kind, radius=1.0, angles=angles)
+    return max(1.0, catalog.evaluate(entry, poly, alpha, k).scale)

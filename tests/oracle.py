@@ -3,7 +3,7 @@
 Everything here recomputes expected values from the closed-form trig sums
 with 50-digit mpmath arithmetic and never calls the package under test, so
 assertions against these numbers are genuinely two-sided. The frozen
-constants below were produced by this module; the self-check test
+constants below were produced by this module; ``tests/test_oracle.py``
 recomputes them to guard against transcription drift.
 """
 

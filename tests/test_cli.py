@@ -2,16 +2,29 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from bonnesen import cli, errors, reporting
+import bonnesen
+from bonnesen import PolygonModel, cli, errors, evaluate, extremal_search, reporting, verification
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_module(*argv):
+    """``python -m bonnesen.cli`` in a child that imports this checkout's package."""
+    src = str(Path(bonnesen.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "bonnesen.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestCatalogCommand:
@@ -118,10 +131,8 @@ class TestVerifyCommand:
     def test_overflowing_cell_prints_only_the_error(self, tmp_path):
         """numpy's overflow warning does not reach the terminal."""
         out = tmp_path / "rep.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "bonnesen.cli", "verify", "--n", "3", "--alpha", "35",
-             "--k", "3", "--samples", "20000", "--kinds", "tangential", "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_module("verify", "--n", "3", "--alpha", "35", "--k", "3",
+                          "--samples", "20000", "--kinds", "tangential", "--out", str(out))
         assert proc.returncode == 2 and not out.exists()
         assert proc.stderr.splitlines() == [
             "error: T31A (tangential, n=3, alpha=35, k=None): "
@@ -197,10 +208,7 @@ class TestSearchCommand:
     def test_overflowing_case_prints_only_the_error(self, powers, tmp_path):
         """No descent of T31A ends at a finite slack: exit 2, not a traceback."""
         out = tmp_path / "search.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "bonnesen.cli", "search", "--n", "3", "--starts", "2",
-             "--out", str(out)] + powers,
-            capture_output=True, text=True)
+        proc = run_module("search", "--n", "3", "--starts", "2", "--out", str(out), *powers)
         assert proc.returncode == 2 and not out.exists()
         assert proc.stderr.splitlines() == [
             f"error: T31A (tangential, n=3, alpha={powers[1]}, k=None): "
@@ -223,6 +231,33 @@ class TestSearchCommand:
         assert all(not row["anomaly"] for row in doc["results"])
         grid_rows = [r for r in doc["results"] if "grid_min_slack" in r]
         assert grid_rows and all(r["grid_min_slack"] >= -1e-10 for r in grid_rows)
+
+
+    def test_cancellation_at_large_powers_is_no_anomaly(self, tmp_path, capsys):
+        """T41A and T42A at k = 9 end 3e-15 of their term scale below zero."""
+        out = tmp_path / "search.json"
+        assert run(["search", "--n", "3", "--k", "9", "--starts", "2", "--out", str(out)]) == 0
+        rows = {r["entry_id"]: r for r in json.loads(out.read_text())["results"]
+                if r["kind"] == "tangential"}
+        # Both lie below the absolute slack tolerance 1e-8 and still pass.
+        assert rows["T41A"]["best_slack"] < -1e-8 and not rows["T41A"]["anomaly"]
+        assert rows["T42A"]["best_slack"] < -1e-8 and not rows["T42A"]["anomaly"]
+
+    @pytest.mark.parametrize("relative", [-1e-6, 1e-5])
+    def test_relative_miss_is_still_an_anomaly(self, relative, monkeypatch):
+        """A best slack of -1e-6 (or +1e-5) times the term scale is an anomaly."""
+        real = extremal_search.minimize_slack
+
+        def patched(entry, n, alpha=None, k=None, kind=None, **kwargs):
+            res = real(entry, n, alpha=alpha, k=k, kind=kind, **kwargs)
+            poly = PolygonModel(kind, 1.0, res.best_angles)
+            scale = evaluate(entry, poly, alpha, k).scale
+            return replace(res, best_slack=relative * scale)
+
+        monkeypatch.setattr(extremal_search, "minimize_slack", patched)
+        rows, anomalies = verification.search_sweep(
+            n_set=(3,), alpha=1, k=9, starts=2, grid_n_max=0)
+        assert anomalies == len(rows) and all(r["anomaly"] for r in rows)
 
 
 class TestReportCommand:
@@ -335,7 +370,6 @@ def test_render_json_refuses_non_finite(value):
 
 
 def test_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "bonnesen.cli", "catalog"],
-                          capture_output=True, text=True)
+    proc = run_module("catalog")
     assert proc.returncode == 0
     assert proc.stdout.startswith("20 entries")

@@ -176,6 +176,13 @@ class TestNonFiniteSlack:
                            match=r"^T31A \(tangential, n=3, alpha=120, k=None\): "):
             minimize_slack("T31A", 3, alpha=120, starts=2, kind=PolygonKind.TANGENTIAL)
 
+    def test_falsify_refuses_when_no_settled_descent_ends_finite(self):
+        # The budget settles starts 0 and 1 only, and both overflow: no
+        # "survived" verdict rests on them.
+        with pytest.raises(errors.NonFiniteValue,
+                           match=r"^T31A \(tangential, n=3, alpha=120, k=None\): "):
+            falsify("T31A", 3, alpha=120, kind=PolygonKind.TANGENTIAL, budget_evals=200)
+
     @pytest.mark.parametrize("search", [
         lambda: grid_scan("T41A", 3, alpha=120, k=9, resolution=60),
         lambda: minimize_slack("T41A", 3, alpha=120, k=9, starts=2),

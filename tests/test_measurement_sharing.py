@@ -2,7 +2,7 @@
 
 The sweeps measure a sample batch once (verify_sweep), gather lattice
 sums from per-angle tables (grid_scan), and take one cos_sin per angle
-with memoized pi/n values (measure_exact). The old per-call paths are
+with memoized regular-polygon constants (measure_exact). The old per-call paths are
 kept here as references, and results must match them bit for bit.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from bonnesen import (PolygonKind, extremal_search, grid_scan, highprec, list_entries,
                       sign_flipped)
 from bonnesen.inequality_catalog import evaluate_batch, get_entry
-from bonnesen.polygon_core import eval_context, sample_simplex_batch
+from bonnesen.polygon_core import regular_part, sample_simplex_batch
 from bonnesen.records import EQUALITY_RTOL, VIOLATION_RTOL
 from bonnesen.verification import verify_sweep
 
@@ -151,8 +151,8 @@ def _measure_exact_reference(kind, radius, angles, dps):
             sum_L = mp.fsum(sin)
             sum_A = mp.fsum(s * mp.cos(t) for s, t in zip(sin, th))
         pin = mp.pi / n
-        return eval_context(kind, n, mp.mpf(radius), sum_L, sum_A,
-                            mp.tan(pin), mp.sin(pin), mp.cos(pin))
+        return regular_part(kind, n, mp.mpf(radius), mp.tan(pin), mp.sin(pin),
+                            mp.cos(pin)).context(sum_L, sum_A)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)

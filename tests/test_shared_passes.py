@@ -1,0 +1,359 @@
+"""Work done once per sweep, cell or call, against the paths that repeated it.
+
+certify takes both partials from one pass, measure_exact takes float
+angles and cached regular-polygon constants, determinism_hash serializes
+once, evaluate_batch no longer builds a term scale, and the sampler ANDs
+its column masks. The old paths are kept here as references, and results
+must match them bit for bit. The call counts the benchmark's tracer reads
+are checked too.
+"""
+
+import json
+import hashlib
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from bonnesen import (PolygonKind, PolygonModel, family, highprec, inequality_catalog,
+                      list_entries, make_angle_vector, reporting, schur_certifier,
+                      sign_flipped, verification)
+from bonnesen.errors import RejectionBudgetExceeded
+from bonnesen.inequality_catalog import evaluate, evaluate_batch, evaluate_exact
+from bonnesen.polygon_core import (_CHUNK, EvalContext, _check_margin_window,
+                                   measure_arrays, sample_simplex_batch)
+from bonnesen.schur_certifier import (NOISE_FLOOR_FACTOR, Classification, SchurVerdict,
+                                      certify, partial_value, partial_values,
+                                      power_gap_function, power_gap_reverse_function)
+
+KINDS = (PolygonKind.TANGENTIAL, PolygonKind.CYCLIC)
+
+
+# ------------------------------------------------------------------ certify
+
+def _gradient_reference(n, alpha, k):
+    """(dF/dP, dF/ds) of each gap function, as the per-index partial built it."""
+    a = int(alpha)
+    na = float(n) ** a
+    if k is None:
+        return lambda P, s: (2 * a * P ** (2 * a - 1) - a * (na + 1.0) * s**a * P ** (a - 1),
+                             -a * (na + 1.0) * s ** (a - 1) * P**a
+                             + 2 * a * na * s ** (2 * a - 1))
+    kk = int(k)
+    nka = float(n) ** (kk * a)
+    return lambda P, s: (2 * a * P ** (2 * a - 1) - a * na * s**a * P ** (a - 1)
+                         - kk * a * P ** (kk * a - 1),
+                         -a * na * s ** (a - 1) * P**a + kk * a * nka * s ** (kk * a - 1))
+
+
+def _partial_reference(fam, n, gradient, i, pts):
+    """The i-th gap partial, recomputing P, sigma, s and f'(sigma) per index."""
+    P = np.asarray(fam.f(pts), dtype=float).sum(axis=1)
+    sig = pts.mean(axis=1)
+    s = np.asarray(fam.f(sig), dtype=float)
+    fp_i = np.asarray(fam.f_prime(pts[:, i]), dtype=float)
+    fp_s = np.asarray(fam.f_prime(sig), dtype=float)
+    d_P, d_s = gradient(P, s)
+    return d_P * fp_i + (fp_s / n) * d_s
+
+
+def _certify_reference(F, total, samples, seed, margin=1e-4):
+    """certify with one partial_value call per coordinate of the pair."""
+    pts = sample_simplex_batch(F.arity, total, margin, samples, seed, bound=F.domain[1])
+    d1 = partial_value(F, 0, pts)
+    d2 = partial_value(F, 1, pts)
+    diff = pts[:, 0] - pts[:, 1]
+    values = diff * (d1 - d2)
+    floor = NOISE_FLOOR_FACTOR * float(
+        (np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
+    pos, neg = values > floor, values < -floor
+    i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
+    if pos.any() and neg.any():
+        return SchurVerdict(Classification.NEITHER, samples, float(values[i_min]), floor,
+                            witness=tuple(pts[i_min]), positive_witness=tuple(pts[i_max]),
+                            negative_witness=tuple(pts[i_min]))
+    if pos.any():
+        return SchurVerdict(Classification.SCHUR_CONVEX, samples, float(values[i_min]),
+                            floor, witness=tuple(pts[i_min]))
+    if neg.any():
+        return SchurVerdict(Classification.SCHUR_CONCAVE, samples, float(values[i_max]),
+                            floor, witness=tuple(pts[i_max]))
+    worst = (float(values[i_max]) if abs(values[i_max]) >= abs(values[i_min])
+             else float(values[i_min]))
+    return SchurVerdict(Classification.INDETERMINATE, samples, worst, floor)
+
+
+def _gap_cases():
+    for name in ("tan", "sec", "csc"):
+        for n in range(3, 9):
+            for alpha in (1, 2, 3):
+                yield name, n, alpha, None
+                for k in (2, 3):
+                    yield name, n, alpha, k
+
+
+@pytest.mark.parametrize("name", ["tan", "sec", "csc"])
+def test_shared_partials_match_two_partial_value_calls(name):
+    for fam_name, n, alpha, k in _gap_cases():
+        if fam_name != name:
+            continue
+        fam = family(name)
+        F = (power_gap_function(fam, n, alpha) if k is None
+             else power_gap_reverse_function(fam, n, alpha, k))
+        pts = sample_simplex_batch(n, math.pi, 1e-4, 300, seed=[41, n, alpha, k or 0])
+        d1, d2 = partial_values(F, (0, 1), pts)
+        gradient = _gradient_reference(n, alpha, k)
+        for i, d in ((0, d1), (1, d2)):
+            ref = partial_value(F, i, pts)
+            assert d.tobytes() == ref.tobytes(), (name, n, alpha, k, i)
+            old = _partial_reference(fam, n, gradient, i, pts)
+            assert d.tobytes() == old.tobytes(), (name, n, alpha, k, i)
+
+
+@pytest.mark.parametrize("name", ["tan", "sec", "csc"])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_certify_matches_two_partial_pass(name, n):
+    fam = family(name)
+    for alpha in (1, 3):
+        for F in (power_gap_function(fam, n, alpha),
+                  power_gap_reverse_function(fam, n, alpha, 2),
+                  power_gap_reverse_function(fam, n, alpha, 3)):
+            seed = [43, n, alpha]
+            assert certify(F, math.pi, 500, seed) == _certify_reference(F, math.pi, 500, seed)
+
+
+def test_finite_difference_and_linear_partials_still_work():
+    linear = schur_certifier.linear_function(4)
+    pts = sample_simplex_batch(4, math.pi, 1e-3, 50, seed=3)
+    ones = partial_values(linear, (0, 1), pts)
+    assert all((d == 1.0).all() and d.shape == (50,) for d in ones)
+    assert partial_value(linear, 2, pts[0]) == 1.0
+    no_closed_form = schur_certifier.SymmetricFunction(
+        arity=4, domain=(0.0, math.pi / 2), evaluate=linear.evaluate)
+    fd = partial_values(no_closed_form, (0, 1), pts)
+    assert all(np.abs(d - 1.0).max() < 1e-8 for d in fd)
+    assert certify(no_closed_form, math.pi, 200, 5).classification \
+        == Classification.INDETERMINATE
+
+
+def test_one_sample_batch_per_certify(monkeypatch):
+    calls = []
+    real = schur_certifier.sample_simplex_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schur_certifier, "sample_simplex_batch", counted)
+    rows, mismatches = verification.certification_grid(
+        n_set=(3, 4), alpha_set=(1, 2), k_set=(2, 3), samples=200, include_probe=False)
+    assert mismatches == 0
+    # Per (n, alpha): 2 convex-side families + 2 k x 2 concave-side families.
+    assert len(calls) == len(rows) == 2 * 2 * (2 + 2 * 2)
+
+
+# --------------------------------------------------------------- exact path
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("dps", [30, 50])
+def test_measure_exact_from_floats_matches_from_mpf(kind, dps):
+    rng = np.random.default_rng([dps, 3])
+    for n in (3, 5, 8, 12):
+        for _ in range(10):
+            angles = (rng.dirichlet(np.ones(n)) * math.pi).tolist()
+            with mp.workdps(dps):
+                as_mpf = [mp.mpf(v) for v in angles]
+            assert (highprec.measure_exact(kind, 1.3, angles, dps=dps)
+                    == highprec.measure_exact(kind, 1.3, as_mpf, dps=dps))
+
+
+def _context_reference(kind, n, R, sum_L, sum_A, tan_pin, sin_pin, cos_pin):
+    """The closed form as one function of the sums, rebuilt for every row."""
+    r2 = R * R
+    if kind == PolygonKind.TANGENTIAL:
+        Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
+    else:
+        Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
+    return EvalContext(R=R, L=2 * R * sum_L, A=r2 * sum_A, Lstar=Lstar, Astar=Astar,
+                       dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("radius", [1.0, 0.3, 2.5])
+@pytest.mark.parametrize("dps", [30, 50, 80])
+def test_cached_regular_constants_match_one_closed_form(kind, radius, dps):
+    for n in range(3, 13):
+        part = highprec._regular_part(kind, n, radius, dps)
+        with mp.workdps(dps):
+            pin = mp.pi / n
+            sums = mp.mpf(n) / 3, mp.mpf(n) / 7
+            ref = _context_reference(kind, n, mp.mpf(radius), *sums,
+                                     mp.tan(pin), mp.sin(pin), mp.cos(pin))
+            got = part.context(*sums)
+            assert got == ref, (kind, n)
+            assert (got.Lstar_hat, got.Astar_hat) == (ref.Lstar_hat, ref.Astar_hat)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_float_regular_part_matches_one_closed_form(kind):
+    rng = np.random.default_rng(13)
+    for n in range(3, 13):
+        pts = rng.dirichlet(np.ones(n), size=9) * math.pi
+        terms = np.tan(pts) if kind == PolygonKind.TANGENTIAL else np.sin(pts)
+        sum_L = terms.sum(axis=1)
+        sum_A = sum_L if kind == PolygonKind.TANGENTIAL else (
+            np.sin(pts) * np.cos(pts)).sum(axis=1)
+        pin = math.pi / n
+        ref = _context_reference(kind, n, 1.7, sum_L, sum_A,
+                                 math.tan(pin), math.sin(pin), math.cos(pin))
+        got = measure_arrays(kind, 1.7, pts)
+        for field in ("R", "Lstar", "Astar", "dn", "tan_pin", "cos_pin"):
+            assert getattr(got, field) == getattr(ref, field) and \
+                type(getattr(got, field)) is type(getattr(ref, field)), (n, field)
+        assert got.L.tobytes() == ref.L.tobytes() and got.A.tobytes() == ref.A.tobytes()
+
+
+def test_one_exact_evaluation_per_flagged_sample(monkeypatch):
+    counts = {"evaluate_exact": 0, "measure_exact": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(inequality_catalog, "evaluate_exact")
+    counting(highprec, "measure_exact")
+    fault = sign_flipped("BASIC")
+    samples = 37
+    rows, confirmed = verification.verify_sweep(
+        kinds=(PolygonKind.CYCLIC,), n_set=(5,), samples=samples, seed=[7, 1],
+        extra_entries=(fault,), high_precision=True)
+    # Every sample violates the flipped entry and only those are adjudicated.
+    assert confirmed == samples
+    assert counts == {"evaluate_exact": samples, "measure_exact": samples}
+    assert [r["violations"] for r in rows if r["entry_id"] == fault.id] == [samples]
+
+
+# ------------------------------------------------------------------- scales
+
+def _scale_reference(entry, ctx, alpha, k, maximum):
+    """max(1, every |factor * term|), as evaluate_batch used to build it."""
+    scale = 1
+    for factor, terms in entry.sides(ctx, alpha, k):
+        if factor != 1:
+            terms = [factor * t for t in terms]
+        for t in terms:
+            scale = maximum(scale, abs(t))
+    return scale
+
+
+def _random_polygons(kind, seed, count=4):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 3 + i % 6
+        while True:
+            theta = rng.dirichlet(np.ones(n)) * math.pi
+            if (theta > 1e-3).all() and (theta < math.pi / 2 - 1e-3).all():
+                break
+        theta *= math.pi / math.fsum(theta)
+        yield PolygonModel(kind, 0.7 + 0.4 * i, make_angle_vector(theta, math.pi))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_record_scale_matches_term_reference(kind):
+    for poly in _random_polygons(kind, [53, len(kind.value)]):
+        for entry in list_entries(kind):
+            for a, k in entry.params.combos((1, 2, 3), (2, 3)):
+                ctx = measure_arrays(kind, poly.radius, poly.angles.to_array()[None, :])
+                ref = _scale_reference(entry, ctx, a, k, np.maximum)
+                assert evaluate(entry, poly, a, k).scale == float(ref[0]), entry.id
+                with mp.workdps(highprec.DEFAULT_DPS):
+                    exact_ctx = highprec.measure_exact(kind, poly.radius, poly.angles.values)
+                    exact_ref = _scale_reference(entry, exact_ctx, a, k, max)
+                assert evaluate_exact(entry, poly, a, k).scale == float(exact_ref), entry.id
+
+
+def test_evaluate_batch_returns_no_scale():
+    pts = sample_simplex_batch(4, math.pi, 1e-6, 20, seed=2)
+    out = evaluate_batch("T41A", PolygonKind.TANGENTIAL, 1.0, pts, 2, 3)
+    assert set(out) == {"lhs", "rhs", "slack", "alpha", "k"}
+
+
+# ------------------------------------------------------------------- report
+
+def _hash_reference(doc):
+    """determinism_hash through a JSON round trip of the whole document."""
+    stripped = json.loads(json.dumps(doc))
+    prov = stripped.get("provenance", {})
+    prov.pop("timestamp", None)
+    prov.pop("determinism_hash", None)
+    blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _reports():
+    verify_rows, _ = verification.verify_sweep(n_set=(3, 4), samples=50)
+    certify_rows, _ = verification.certification_grid(n_set=(3,), alpha_set=(1,),
+                                                      k_set=(2,), samples=100)
+    search_rows, _ = verification.search_sweep(n_set=(3,), starts=2, grid_n_max=0,
+                                               kinds=(PolygonKind.CYCLIC,))
+    config = {"n": (3, 4), "kinds": ("tangential", "cyclic"), "margin": 1e-6,
+              "nested": {"pair": (1, 2.5), "none": None}}
+    for command, rows in (("verify", verify_rows), ("certify", certify_rows),
+                          ("search", search_rows)):
+        rows = rows + [{"entry_id": "TUPLES", "angles": (0.5, 1.0, math.pi - 1.5)}]
+        yield reporting.ReportDocument(command=command, config=config, results=rows,
+                                       seed=[7, 1], samples=50, precision_mode="standard")
+
+
+def test_determinism_hash_matches_round_trip():
+    for doc in _reports():
+        as_dict = doc.to_dict()
+        assert doc.determinism_hash == _hash_reference(as_dict)
+        assert reporting.determinism_hash(as_dict) == _hash_reference(as_dict)
+        # The loaded file hashes the same, and hashing leaves the input as it was.
+        loaded = json.loads(reporting.render_json(doc))
+        assert reporting.determinism_hash(loaded) == doc.determinism_hash
+        assert loaded["provenance"]["determinism_hash"] == doc.determinism_hash
+        assert "timestamp" in loaded["provenance"]
+
+
+def test_determinism_hash_without_provenance_matches_round_trip():
+    doc = {"command": "verify", "results": [{"x": (1, 2)}]}
+    assert reporting.determinism_hash(doc) == _hash_reference(doc)
+
+
+# ------------------------------------------------------------------ sampler
+
+def _sample_reference(n, total, margin, count, seed, bound=math.pi / 2):
+    """sample_simplex_batch with the row check as one .all(axis=1)."""
+    _check_margin_window(n, total, margin, bound)
+    rng = np.random.default_rng(seed)
+    rows, have, drawn = [], 0, 0
+    budget = max(10_000, 64 * count)
+    while have < count:
+        if drawn >= budget:
+            raise RejectionBudgetExceeded("budget")
+        size = min(max(_CHUNK, count - have), 65536)
+        cand = rng.dirichlet(np.ones(n), size=size) * total
+        ok = ((cand > margin) & (cand < bound - margin)).all(axis=1)
+        good = cand[ok]
+        if good.shape[0]:
+            rows.append(good[: count - have])
+            have += min(good.shape[0], count - have)
+        drawn += size
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_sampler_matches_all_axis_reference(n):
+    for margin, count, seed in ((1e-6, 700, [n, 1]), (1e-4, 129, [n, 2]), (0.05, 300, 9)):
+        got = sample_simplex_batch(n, math.pi, margin, count, seed)
+        assert got.tobytes() == _sample_reference(n, math.pi, margin, count, seed).tobytes()
+    # The certifier's draw: total 1, the domain's own upper bound.
+    got = sample_simplex_batch(n, 1.0, 1e-4, 200, [n, 3], bound=1.0)
+    assert got.tobytes() == _sample_reference(n, 1.0, 1e-4, 200, [n, 3], bound=1.0).tobytes()
