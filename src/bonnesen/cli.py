@@ -15,7 +15,8 @@ infeasible margin. A flag a subcommand does not use is refused. Flag
 values override config-file values override defaults; the config file is
 JSON and its default path can be set through the BONNESEN_CONFIG
 environment variable. A config-file key a subcommand does not use is
-ignored, so the report records its default.
+ignored, so the report records its default. ``search`` runs one alpha
+and one k per entry and refuses more.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ CONFIG_SCHEMA = {
 
 _DEFAULTS = {key: prop["default"] for key, prop in CONFIG_SCHEMA["properties"].items()}
 
-_SEARCH_DEFAULT_N = [3, 4, 5]
+#: search runs one (alpha, k) per entry, so its defaults are one value each.
+_SEARCH_DEFAULTS = {"n": [3, 4, 5], "alpha": [1], "k": [2]}
 
 #: Config keys each sweep subcommand does not use: it takes no flag for
 #: them and keeps their defaults whatever the config file says.
@@ -82,14 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, unused=()):
-        """The shared flags, except those named in ``unused``."""
+    def add_common(p, unused=(), defaults=None):
+        """The shared flags, except those named in ``unused``; ``defaults``
+        overrides the defaults named in the help of --n, --alpha and --k."""
+        shown = {"n": "3..8", "alpha": "1 2 3", "k": "2 3",
+                 **{key: " ".join(map(str, value)) for key, value in (defaults or {}).items()}}
         p.add_argument("--n", type=int, nargs="+", default=None,
-                       help="polygon side counts (default 3..8)")
+                       help=f"polygon side counts (default {shown['n']})")
         p.add_argument("--alpha", type=int, nargs="+", default=None,
-                       help="alpha exponents (default 1 2 3)")
+                       help=f"alpha exponents (default {shown['alpha']})")
         p.add_argument("--k", type=int, nargs="+", default=None,
-                       help="k exponents, each >= 2 (default 2 3)")
+                       help=f"k exponents, each >= 2 (default {shown['k']})")
         if "kinds" not in unused:
             p.add_argument("--kinds", nargs="+", default=None,
                            choices=["tangential", "cyclic"],
@@ -123,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_certify, unused=_UNUSED["certify"])
 
     p_search = sub.add_parser("search", help="slack minimization per entry")
-    add_common(p_search, unused=_UNUSED["search"])
+    add_common(p_search, unused=_UNUSED["search"], defaults=_SEARCH_DEFAULTS)
     p_search.add_argument("--starts", type=int, default=None,
                           help="optimizer restarts per entry (default 20)")
 
@@ -254,11 +259,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _resolve_config(args, extra_defaults={"n": list(_SEARCH_DEFAULT_N)})
+    cfg = _resolve_config(args, extra_defaults=_SEARCH_DEFAULTS)
+    for key in ("alpha", "k"):
+        if len(cfg[key]) != 1:
+            raise UsageError(f"config key {key!r}: search runs one value, got {cfg[key]}")
+    (alpha,), (k,) = cfg["alpha"], cfg["k"]
     rows, anomalies = verification.search_sweep(
         n_set=cfg["n"],
-        alpha=cfg["alpha"][0],
-        k=cfg["k"][0],
+        alpha=alpha,
+        k=k,
         seed=cfg["seed"],
         starts=cfg["starts"],
         kinds=_kinds(cfg),
@@ -281,6 +290,8 @@ def cmd_catalog(args) -> int:
     file_cfg = _load_config_file(getattr(args, "config", None))
     kinds = getattr(args, "kinds", None) or file_cfg.get("kinds")
     fmt = getattr(args, "format", None) or file_cfg.get("format") or "text"
+    if fmt not in ("json", "text"):
+        raise UsageError(f"config key 'format': catalog writes json or text, got {fmt!r}")
     entries = catalog.list_entries()
     if kinds:
         _validate({"kinds": kinds}, CONFIG_SCHEMA)

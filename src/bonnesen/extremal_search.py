@@ -140,11 +140,16 @@ def _feasible_start(rng, n: int, margin: float) -> np.ndarray:
 
 def _angles_from_free(z: np.ndarray, n: int, margin: float) -> np.ndarray:
     """Angle rows of the free rows ``z``, shape (m, n - 1) -> (m, n)."""
-    full = np.concatenate([z, np.zeros((len(z), 1))], axis=1)
-    full = full - full.max(axis=1, keepdims=True)  # softmax overflow guard
-    w = np.exp(full)
-    w /= w.sum(axis=1, keepdims=True)
-    return margin + (_TOTAL - n * margin) * w
+    # In place on one array, and the reductions without the ndarray
+    # method wrappers: one call costs far more than these few rows.
+    w = np.zeros((len(z), n))
+    w[:, :-1] = z
+    w -= np.maximum.reduce(w, axis=1, keepdims=True)  # softmax overflow guard
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=1, keepdims=True)
+    w *= _TOTAL - n * margin
+    w += margin
+    return w
 
 
 def _free_from_angles(theta: np.ndarray, n: int, margin: float) -> np.ndarray:
@@ -165,10 +170,11 @@ def _objective(entry, kind, n, radius, alpha, k, margin):
 
     def fn(z):
         theta = _angles_from_free(z, n, margin)
-        ok = ~(theta >= upper).any(axis=1)
         try:
-            if ok.all():
+            # One test for the batch; a NaN row fails it and is masked below.
+            if np.maximum.reduce(theta, axis=None) < upper:
                 return catalog.evaluate_batch(entry, kind, radius, theta, alpha, k)["slack"]
+            ok = ~(theta >= upper).any(axis=1)
             f = np.full(len(z), np.inf)
             if ok.any():
                 f[ok] = catalog.evaluate_batch(entry, kind, radius, theta[ok], alpha, k)["slack"]
@@ -193,19 +199,30 @@ class _Descent:
 
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
+#: A lane's candidates are c + t d, c the centroid of all but its worst
+#: vertex: the reflection and the inside contraction along d = c - worst,
+#: the expansion and the outside contraction along d = reflection - c.
+_ALONG_WORST = np.array([_REFLECT, -_CONTRACT])[:, None, None]
+_ALONG_REFLECTION = np.array([_EXPAND, _CONTRACT])[:, None, None]
+
 
 class _Lanes:
     """Plain downhill simplex run on many starts at once, in lockstep.
 
     Each lane is one start's simplex; the lanes are held as a (lanes,
-    dim + 1, dim) array. New lanes' initial simplices take one call of
-    ``fn``; then an iteration makes one call over four candidate points
-    of every lane, and one more over the new vertices of the lanes that
-    shrink (see :meth:`_advance`). Per lane the arithmetic is that of a
-    single-simplex descent: the same stable sort, centroid and norm, so a
-    lane's result does not depend on the other lanes in the batch. A
-    lane finishes when its diameter (max vertex distance to the best
-    vertex) drops below ``xtol`` or after ``max_iter`` iterations.
+    dim + 1, dim) array, oldest first. New lanes' initial simplices take
+    one call of ``fn``; then an iteration makes one call over four
+    candidate points of every lane, and one more over the new vertices of
+    the lanes that shrink (see :meth:`_advance`). Per lane the arithmetic
+    is that of a single-simplex descent: the same stable sort, centroid
+    and norm, so a lane's result does not depend on the other lanes in
+    the batch. A lane finishes when its diameter (max vertex distance to
+    the best vertex) drops below ``xtol`` or after ``max_iter`` iterations.
+
+    An iteration makes the same few numpy calls whatever the number of
+    lanes: the arithmetic runs on the whole block, and only each lane's
+    choice of branch, and the count of what it is charged, runs per lane
+    on Python floats and ints.
     """
 
     def __init__(self, fn, dim: int, xtol: float, max_iter: int):
@@ -213,11 +230,25 @@ class _Lanes:
         #: Evaluations charged to every lane added so far, running or not.
         self.spent = 0
         self._pending: list[tuple[int, np.ndarray]] = []
-        self.starts = np.empty(0, dtype=int)
         self.verts = np.empty((0, dim + 1, dim))
         self.fvals = np.empty((0, dim + 1))
-        self.iters = np.empty(0, dtype=int)
-        self.evals = np.empty(0, dtype=int)
+        # Per running lane: its start, the iteration it joined at (see
+        # ``iters``) and the evaluations charged to it.
+        self.starts: list[int] = []
+        self._joined: list[int] = []
+        self._evals: list[int] = []
+        self._clock = 0  # iterations run by the pool
+        self._rows = np.empty((0, 1), dtype=int)  # lane index column for gathers
+
+    @property
+    def iters(self) -> np.ndarray:
+        """Iterations each running lane has run."""
+        return np.array([self._clock - j for j in self._joined], dtype=int)
+
+    @property
+    def evals(self) -> np.ndarray:
+        """Evaluations charged to each running lane."""
+        return np.array(self._evals, dtype=int)
 
     def __len__(self) -> int:
         return len(self.starts) + len(self._pending)
@@ -241,44 +272,63 @@ class _Lanes:
 
     def step(self) -> list[_Descent]:
         """Advance every lane one iteration; return the lanes that finished."""
-        dim = self.dim
         if self._pending:
-            starts, verts = zip(*self._pending)
-            self._pending = []
-            verts = np.stack(verts)
-            fvals = self.fn(verts.reshape(-1, dim)).reshape(len(verts), dim + 1)
-            zeros = np.zeros(len(verts), dtype=int)
-            self.starts = np.concatenate([self.starts, starts])
-            self.verts = np.concatenate([self.verts, verts])
-            self.fvals = np.concatenate([self.fvals, fvals])
-            self.iters = np.concatenate([self.iters, zeros])
-            self.evals = np.concatenate([self.evals, zeros + dim + 1])
-        done = self._retire(self.iters >= self.max_iter, converged=False)
-        self.iters += 1
-        order = np.argsort(self.fvals, axis=1, kind="stable")
-        lanes = np.arange(len(order))[:, None]
-        self.verts, self.fvals = self.verts[lanes, order], self.fvals[lanes, order]
-        diameter = np.linalg.norm(self.verts[:, 1:] - self.verts[:, :1], axis=2).max(axis=1)
-        done += self._retire(diameter < self.xtol, converged=True)
-        if len(self.starts):
+            self._admit()
+        done = []
+        # Oldest first, so no lane has run more iterations than the first.
+        if self.starts and self._clock - self._joined[0] >= self.max_iter:
+            done += self._retire([i for i, j in enumerate(self._joined)
+                                  if self._clock - j >= self.max_iter], converged=False)
+            if not self.starts:
+                return done
+        self._clock += 1
+        order = self.fvals.argsort(axis=1, kind="stable")
+        v = self.verts = self.verts[self._rows, order]
+        self.fvals = self.fvals[self._rows, order]
+        # Squared distances to the best vertex, summed as np.linalg.norm
+        # sums them; the root of a lane's largest is its diameter.
+        e = v[:, 1:] - v[:, :1]
+        e *= e
+        sq = np.maximum.reduce(np.add.reduce(e, axis=2), axis=1)
+        # fmin passes over NaN: has any lane converged?
+        if math.sqrt(np.fmin.reduce(sq)) < self.xtol:
+            done += self._retire(np.flatnonzero(np.sqrt(sq) < self.xtol).tolist(),
+                                 converged=True)
+        if self.starts:
             self._advance()
         return done
 
-    def _retire(self, mask: np.ndarray, converged: bool) -> list[_Descent]:
-        if not mask.any():
-            return []
-        best = np.argmin(self.fvals[mask], axis=1)
+    def _admit(self) -> None:
+        """Evaluate the queued lanes' simplices in one call and append them."""
+        dim = self.dim
+        starts, verts = zip(*self._pending)
+        self._pending = []
+        verts = np.stack(verts)
+        fvals = self.fn(verts.reshape(-1, dim)).reshape(len(verts), dim + 1)
+        self.verts = np.concatenate([self.verts, verts])
+        self.fvals = np.concatenate([self.fvals, fvals])
+        self.starts += starts
+        self._joined += [self._clock] * len(starts)
+        self._evals += [dim + 1] * len(starts)
+        self._rows = np.arange(len(self.starts))[:, None]
+
+    def _retire(self, lanes: list[int], converged: bool) -> list[_Descent]:
+        """Take ``lanes`` (indices, ascending) out of the pool as results."""
+        fvals = self.fvals[lanes]
+        best = np.argmin(fvals, axis=1)
         done = [
-            _Descent(start=int(s), z=v[b], f=float(f[b]), iterations=int(it),
-                     converged=converged, evals=int(e))
-            for s, v, f, b, it, e in zip(self.starts[mask], self.verts[mask],
-                                         self.fvals[mask], best,
-                                         self.iters[mask], self.evals[mask])
+            _Descent(start=self.starts[i], z=v[b], f=float(f[b]),
+                     iterations=self._clock - self._joined[i], converged=converged,
+                     evals=self._evals[i])
+            for i, v, f, b in zip(lanes, self.verts[lanes], fvals, best)
         ]
-        keep = ~mask
-        self.starts, self.verts, self.fvals = (
-            self.starts[keep], self.verts[keep], self.fvals[keep])
-        self.iters, self.evals = self.iters[keep], self.evals[keep]
+        out = set(lanes)
+        keep = [i for i in range(len(self.starts)) if i not in out]
+        self.verts, self.fvals = self.verts[keep], self.fvals[keep]
+        self.starts = [self.starts[i] for i in keep]
+        self._joined = [self._joined[i] for i in keep]
+        self._evals = [self._evals[i] for i in keep]
+        self._rows = np.arange(len(keep))[:, None]
         return done
 
     def _advance(self) -> None:
@@ -294,33 +344,46 @@ class _Lanes:
         (the reflection, at most one other, a shrink's ``dim`` vertices),
         so the rows evaluated exceed the evaluations charged.
         """
-        v, f = self.verts, self.fvals
-        centroid = v[:, :-1].mean(axis=1)
-        worst = v[:, -1]
-        xr = centroid + _REFLECT * (centroid - worst)
-        xe = centroid + _EXPAND * (xr - centroid)
-        xoc = centroid + _CONTRACT * (xr - centroid)
-        xic = centroid + _CONTRACT * (worst - centroid)
-        fr, fe, foc, fic = self.fn(np.concatenate([xr, xe, xoc, xic])).reshape(4, -1)
-        expand = fr < f[:, 0]
-        contract = ~expand & ~(fr < f[:, -2])
-        inside = fr >= f[:, -1]
-        fbase = np.where(inside, f[:, -1], fr)
-        x2 = np.where(expand[:, None], xe, np.where(inside[:, None], xic, xoc))
-        f2 = np.where(expand, fe, np.where(inside, fic, foc))
-        trial = expand | contract
-        take2 = (expand & (f2 < fr)) | (contract & (f2 < fbase))
-        shrink = contract & ~take2
-        v[:, -1] = np.where(shrink[:, None], worst, np.where(take2[:, None], x2, xr))
-        f[:, -1] = np.where(shrink, f[:, -1], np.where(take2, f2, fr))
-        if shrink.any():
+        v, f, dim = self.verts, self.fvals, self.dim
+        lanes = len(v)
+        c = np.add.reduce(v[:, :-1], axis=1)
+        c /= dim  # the centroid, as ndarray.mean takes it
+        # Rows: every lane's reflection, expansion, outside and inside
+        # contraction.
+        pts = np.empty((4, lanes, dim))
+        np.add(c, _ALONG_WORST * (c - v[:, -1]), out=pts[::3])
+        np.add(c, _ALONG_REFLECTION * (pts[0] - c), out=pts[1:3])
+        pts = pts.reshape(-1, dim)
+        fc = self.fn(pts).tolist()
+        rows, fnew, shrink, evals = [], [], [], self._evals
+        spent = self.spent
+        for i, fl in enumerate(f.tolist()):
+            fr = fc[i]
+            if fr < fl[0]:  # try the expansion; keep the better point
+                fe = fc[lanes + i]
+                r, fx = (lanes + i, fe) if fe < fr else (i, fr)
+                charge = 2
+            elif fr < fl[-2]:  # take the reflection
+                r, fx, charge = i, fr, 1
+            else:  # contract towards the better of reflection and worst
+                r, fbase = (3 * lanes + i, fl[-1]) if fr >= fl[-1] else (2 * lanes + i, fr)
+                fx, charge = fc[r], 2
+                if not fx < fbase:  # shrink, over the contraction written below
+                    shrink.append(i)
+                    charge += dim
+            rows.append(r)
+            fnew.append(fx)
+            evals[i] += charge
+            spent += charge
+        self.spent = spent
+        if shrink:  # towards the best vertex, from the worst before it is written
             s = v[shrink]
             s[:, 1:] = s[:, :1] + _SHRINK * (s[:, 1:] - s[:, :1])
+        v[:, -1] = pts.take(rows, axis=0)
+        f[:, -1] = fnew
+        if shrink:
             v[shrink] = s
-            f[shrink, 1:] = self.fn(s[:, 1:].reshape(-1, self.dim)).reshape(-1, self.dim)
-        charged = 1 + trial + self.dim * shrink
-        self.evals += charged
-        self.spent += int(charged.sum())
+            f[shrink, 1:] = self.fn(s[:, 1:].reshape(-1, dim)).reshape(-1, dim)
 
 
 def minimize_slack(

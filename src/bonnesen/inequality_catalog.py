@@ -344,7 +344,8 @@ def _evaluate_sides(entry: CatalogEntry, ctx: EvalContext, alpha, k, maximum=Non
         value = sum(terms[1:], terms[0]) if terms else 0
         if factor != 1:
             value = factor * value
-            terms = [factor * t for t in terms]
+            if maximum is not None:
+                terms = [factor * t for t in terms]
         if maximum is not None:
             for t in terms:
                 scale = maximum(scale, abs(t))
@@ -384,8 +385,9 @@ def evaluate_batch(
         kind, radius, np.asarray(pts, dtype=float))
     lhs, rhs, slack, _ = _evaluate_sides(entry, ctx, a, kk)
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    if lhs.shape != rhs.shape:
-        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    if lhs.shape != rhs.shape:  # a side with no terms is the scalar 0
+        shape = max(lhs.shape, rhs.shape, key=len)
+        lhs, rhs = (x if x.shape == shape else np.full(shape, x) for x in (lhs, rhs))
     return {"lhs": lhs, "rhs": rhs, "slack": slack, "alpha": a, "k": kk}
 
 

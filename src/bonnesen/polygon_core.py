@@ -28,7 +28,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -179,12 +179,32 @@ def measure(p: PolygonModel) -> GeometricSummary:
     )
 
 
-@dataclass(frozen=True)
+class _derived:
+    """An attribute computed on first use and kept in the instance dict.
+
+    What ``functools.cached_property`` does, without the lock it takes on
+    every first use up to Python 3.11, which costs more than a one-row
+    quantity it guards.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+@dataclass
 class EvalContext:
     """Measured quantities the catalog formulas need: float, array or mpf.
 
-    Built by :meth:`RegularPart.context` for every number backend. The
-    normalized quantities are computed on first use and kept, as is
+    Built by :meth:`RegularPart.context` for every number backend, once
+    per batch, so it is a plain dataclass: a frozen one costs more to
+    build than a one-row evaluation spends in it. Treat it as read-only.
+    The normalized quantities are computed on first use and kept, as is
     anything a formula stores in :attr:`memo`, so the entries evaluated on
     one context share them.
     """
@@ -197,27 +217,24 @@ class EvalContext:
     dn: object
     tan_pin: object
     cos_pin: object
+    #: Terms derived from this context, kept for the entries that share it.
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @functools.cached_property
+    @_derived
     def L_hat(self):
         return self.L / (2 * self.R)
 
-    @functools.cached_property
+    @_derived
     def Lstar_hat(self):
         return self.Lstar / (2 * self.R)
 
-    @functools.cached_property
+    @_derived
     def A_hat(self):
         return self.A / (self.R * self.R)
 
-    @functools.cached_property
+    @_derived
     def Astar_hat(self):
         return self.Astar / (self.R * self.R)
-
-    @functools.cached_property
-    def memo(self) -> dict:
-        """Terms derived from this context, kept for the entries that share it."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -246,10 +263,8 @@ class RegularPart:
         sum tan(theta) for both when tangential, sum sin(theta) and
         sum sin(theta) cos(theta) when cyclic.
         """
-        return EvalContext(
-            R=self.R, L=self.two_R * sum_L, A=self.r2 * sum_A, Lstar=self.Lstar,
-            Astar=self.Astar, dn=self.dn, tan_pin=self.tan_pin, cos_pin=self.cos_pin,
-        )
+        return EvalContext(self.R, self.two_R * sum_L, self.r2 * sum_A, self.Lstar,
+                           self.Astar, self.dn, self.tan_pin, self.cos_pin)
 
 
 def regular_part(kind: PolygonKind, n: int, R, tan_pin, sin_pin, cos_pin) -> RegularPart:
@@ -304,8 +319,9 @@ def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> Eval
     if n < 3:
         raise InvalidN(f"geometric measurement needs n >= 3, got {n}")
     terms_L, terms_A = angle_terms(kind, angles)
-    sum_L = terms_L.sum(axis=1)
-    sum_A = sum_L if terms_A is terms_L else terms_A.sum(axis=1)
+    # np.add.reduce is what ndarray.sum calls, without its Python wrapper.
+    sum_L = np.add.reduce(terms_L, axis=1)
+    sum_A = sum_L if terms_A is terms_L else np.add.reduce(terms_A, axis=1)
     return float_regular_part(kind, n, radius).context(sum_L, sum_A)
 
 

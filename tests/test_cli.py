@@ -53,6 +53,23 @@ class TestCatalogCommand:
         assert len(data["entries"]) == 20
         assert data["entries"][0]["id"] == "BASIC"
 
+    @pytest.mark.parametrize("fmt", ["yaml", "csv", 5])
+    def test_config_format_it_cannot_write_is_usage_error(self, fmt, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": fmt}))
+        assert run(["catalog", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "config key 'format'" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_config_format_json_or_text(self, fmt, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": fmt}))
+        assert run(["catalog", "--config", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["catalog", "--format", fmt]) == 0
+        assert from_file == capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, tmp_path, capsys):
@@ -194,6 +211,31 @@ class TestSearchCommand:
     def test_zero_starts_usage_error(self, capsys):
         assert run(["search", "--starts", "0"]) == 2
 
+    def test_records_the_one_alpha_and_k_it_runs(self, tmp_path, capsys):
+        out = tmp_path / "search.json"
+        assert run(["search", "--n", "3", "--kinds", "cyclic", "--starts", "1",
+                    "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["alpha"], config["k"]) == ([1], [2])
+
+    @pytest.mark.parametrize("argv, file_cfg, key", [
+        (["--alpha", "1", "2", "3"], None, "alpha"),
+        (["--k", "2", "3"], None, "k"),
+        ([], {"alpha": [1, 2]}, "alpha"),
+        ([], {"k": [2, 3]}, "k"),
+    ])
+    def test_more_than_one_alpha_or_k_is_usage_error(self, argv, file_cfg, key,
+                                                      tmp_path, capsys):
+        if file_cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(file_cfg))
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "search.json"
+        argv = ["search", "--n", "3", "--kinds", "tangential", "--starts", "2",
+                "--out", str(out)] + argv
+        assert run(argv) == 2 and not out.exists()
+        assert f"config key {key!r}: search runs one value" in capsys.readouterr().err
+
     def test_unused_flag_is_usage_error(self, capsys):
         argv = ["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"]
         assert run(argv + ["--tolerance", "1e-9"]) == 2
@@ -290,6 +332,30 @@ class TestReportCommand:
         bad.write_text(json.dumps(doc))
         assert run(["report", str(bad)]) == 2
         assert "bonnesen-report/1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"results": 5},
+        {"schema_version": "bonnesen-report/1", "command": "verify", "config": {},
+         "results": [], "provenance": {"seed": 7, "samples": 1.5,
+                                       "precision_mode": "standard",
+                                       "timestamp": "t", "determinism_hash": "ab"}},
+    ])
+    def test_schema_error_is_that_of_jsonschema_validate(self, doc, tmp_path, capsys):
+        """The validator built once raises what jsonschema.validate raises."""
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            reporting.validate_report(doc)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(doc, reporting.REPORT_SCHEMA)
+        assert str(ours.value) == str(reference.value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["report", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: report {str(bad)!r} is not a valid bonnesen-report/1 document: "
+            f"{reference.value.message}\n")
 
 
 class TestConfigFile:

@@ -1,5 +1,6 @@
 """Slack minimization, the brute-force grid oracle, and the falsifier."""
 
+import collections
 import itertools
 import math
 
@@ -220,13 +221,16 @@ class TestFalsify:
         assert a.angles.values == b.angles.values
 
 
-def _one_simplex_descent(fn, x0, xtol, max_iter):
+def _one_simplex_descent(fn, x0, xtol, max_iter, branches=None):
     """Reference downhill simplex on one start, one point per ``fn`` call.
 
     Returns (x, f, iterations, converged, evals, shrinks), shrinks being
     the iterations that shrank the simplex; the lockstep driver must
-    reproduce it bit for bit on every lane.
+    reproduce it bit for bit on every lane. ``branches``, a Counter, if
+    given, counts the iterations that end in each branch.
     """
+    if branches is None:
+        branches = collections.Counter()
     dim = x0.size
     verts = [x0.copy()]
     for i in range(dim):
@@ -256,10 +260,13 @@ def _one_simplex_descent(fn, x0, xtol, max_iter):
             evals += 1
             if fe < fr:
                 verts[-1], fvals[-1] = xe, fe
+                branches["expansion"] += 1
             else:
                 verts[-1], fvals[-1] = xr, fr
+                branches["expansion refused"] += 1
         elif fr < fvals[-2]:
             verts[-1], fvals[-1] = xr, fr
+            branches["reflection"] += 1
         else:
             inside = fr >= fvals[-1]
             base = verts[-1] if inside else xr
@@ -269,12 +276,14 @@ def _one_simplex_descent(fn, x0, xtol, max_iter):
             evals += 1
             if fc < fbase:
                 verts[-1], fvals[-1] = xc, fc
+                branches["inside contraction" if inside else "outside contraction"] += 1
             else:
                 for j in range(1, dim + 1):
                     verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
                     fvals[j] = fn(verts[j])
                 evals += dim
                 shrinks.append(it)
+                branches["shrink"] += 1
     best = int(np.argmin(fvals))
     return verts[best], float(fvals[best]), it, converged, evals, shrinks
 
@@ -319,6 +328,44 @@ class TestLockstepWidth:
         wide = descend(range(6))
         assert wide == [d for i in range(6) for d in descend([i])]
         assert wide == [reference(i) for i in range(6)]
+
+    def test_every_branch_matches_single_descents(self):
+        """Each lane's branch choice, on inf and NaN slacks too.
+
+        A tilted quadratic, inf on a half-plane (as the descent objective
+        is beyond the domain) and NaN on a band. The six starts between
+        them take every branch: expansion taken and refused, reflection,
+        outside and inside contraction, and shrink.
+        """
+        seen = collections.Counter()
+
+        def fn(z):
+            z0, z1 = z[:, 0], z[:, 1]
+            f = (z0 - 1.0) ** 2 + 3.0 * (z1 + 0.5) ** 2 + 0.5 * z0 * z1
+            f[z0 + z1 > 2.5] = np.inf
+            f[(z0 > -1.0) & (z0 < -0.5)] = np.nan
+            seen.update(inf=int(np.isinf(f).sum()), nan=int(np.isnan(f).sum()))
+            return f
+
+        x0 = [np.array(p) for p in ([1.2, 1.2], [-2.0, 0.4], [-2.95, -1.0],
+                                    [3.0, -0.4], [0.0, 0.0], [-5.0, 3.0])]
+        lanes = extremal_search._Lanes(fn, 2, 1e-10, 400)
+        for i, x in enumerate(x0):
+            lanes.add(i, x)
+        wide = [(d.z.tolist(), d.f, d.iterations, d.converged, d.evals) for d in lanes.run()]
+        assert seen["inf"] and seen["nan"]
+        branches = collections.Counter()
+        references = []
+        for x in x0:
+            z, f, iterations, converged, evals, _ = _one_simplex_descent(
+                _one_row(fn), x, 1e-10, 400, branches)
+            references.append((z.tolist(), f, iterations, converged, evals))
+        assert wide == references
+        assert set(branches) == {"expansion", "expansion refused", "reflection",
+                                 "outside contraction", "inside contraction", "shrink"}
+        # One start never leaves the inf half-plane; no lane ends at NaN.
+        assert [f for _, f, *_ in wide].count(np.inf) == 1
+        assert not any(math.isnan(f) for _, f, *_ in wide)
 
     @pytest.mark.parametrize("entry_id,kind,n", [
         ("BASIC", PolygonKind.TANGENTIAL, 3),

@@ -214,6 +214,22 @@ def test_float_regular_part_matches_one_closed_form(kind):
         assert got.L.tobytes() == ref.L.tobytes() and got.A.tobytes() == ref.A.tobytes()
 
 
+def test_context_keeps_its_derived_values_and_memo():
+    """Normalized values are computed on first use and kept; every
+    context has its own memo."""
+    pts = np.random.default_rng(5).dirichlet(np.ones(4), size=6) * math.pi
+    a, b = (measure_arrays(PolygonKind.CYCLIC, 1.3, pts) for _ in range(2))
+    for name, value in (("L_hat", a.L / (2 * a.R)), ("A_hat", a.A / (a.R * a.R)),
+                        ("Lstar_hat", a.Lstar / (2 * a.R)),
+                        ("Astar_hat", a.Astar / (a.R * a.R))):
+        assert name not in vars(a)
+        first = getattr(a, name)
+        assert getattr(a, name) is first and vars(a)[name] is first
+        assert np.array_equal(first, value)
+    a.memo["key"] = 1
+    assert b.memo == {} and a.memo is not b.memo
+
+
 def test_one_exact_evaluation_per_flagged_sample(monkeypatch):
     counts = {"evaluate_exact": 0, "measure_exact": 0}
 
