@@ -84,17 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, unused=(), defaults=None):
-        """The shared flags, except those named in ``unused``; ``defaults``
-        overrides the defaults named in the help of --n, --alpha and --k."""
-        shown = {"n": "3..8", "alpha": "1 2 3", "k": "2 3",
-                 **{key: " ".join(map(str, value)) for key, value in (defaults or {}).items()}}
+    def add_common(p, unused=()):
+        """The shared flags, except those named in ``unused``."""
         p.add_argument("--n", type=int, nargs="+", default=None,
-                       help=f"polygon side counts (default {shown['n']})")
+                       help="polygon side counts (default 3..8; search 3 4 5)")
         p.add_argument("--alpha", type=int, nargs="+", default=None,
-                       help=f"alpha exponents (default {shown['alpha']})")
+                       help="alpha exponents (default 1 2 3; search takes one, 1)")
         p.add_argument("--k", type=int, nargs="+", default=None,
-                       help=f"k exponents, each >= 2 (default {shown['k']})")
+                       help="k exponents, each >= 2 (default 2 3; search takes one, 2)")
         if "kinds" not in unused:
             p.add_argument("--kinds", nargs="+", default=None,
                            choices=["tangential", "cyclic"],
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_certify, unused=_UNUSED["certify"])
 
     p_search = sub.add_parser("search", help="slack minimization per entry")
-    add_common(p_search, unused=_UNUSED["search"], defaults=_SEARCH_DEFAULTS)
+    add_common(p_search, unused=_UNUSED["search"])
     p_search.add_argument("--starts", type=int, default=None,
                           help="optimizer restarts per entry (default 20)")
 
