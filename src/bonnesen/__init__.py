@@ -47,7 +47,6 @@ from .polygon_core import (
     make_angle_vector,
     measure,
     regular_angles,
-    sample_simplex,
     sample_simplex_batch,
 )
 from .records import SlackRecord

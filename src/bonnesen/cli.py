@@ -11,12 +11,18 @@ Subcommands::
 Exit codes: 0 when every check passes, 1 on a mathematical anomaly
 (violation, classification mismatch, misplaced minimum), 2 on usage or
 config errors and on any error raised for the inputs given, such as an
-infeasible margin. A flag a subcommand does not use is refused. Flag
-values override config-file values override defaults; the config file is
-JSON and its default path can be set through the BONNESEN_CONFIG
-environment variable. A config-file key a subcommand does not use is
-ignored, so the report records its default. ``search`` runs one alpha
-and one k per entry and refuses more.
+infeasible margin, an unreadable config or report file, or an output
+path that cannot be written.
+
+Every subcommand resolves its config the same way: flag values override
+config-file values override defaults. The config file is JSON and its
+default path can be set through the BONNESEN_CONFIG environment
+variable. ``_SUBCOMMANDS`` lists the keys each subcommand reads and the
+formats it writes; each reads ``format`` and ``out`` too, writing to
+``out`` or, for ``catalog`` and ``report``, to stdout when it is unset.
+A subcommand takes a flag for each key it reads and refuses the others.
+A config-file key it does not read is ignored, so the report records its
+default. ``search`` runs one alpha and one k per entry and refuses more.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import inequality_catalog as catalog, reporting, verification
 from .errors import BonnesenError, UsageError
@@ -38,8 +45,9 @@ def _int_list(minimum: int, **extra) -> dict:
             "items": {"type": "integer", "minimum": minimum}, **extra}
 
 
-#: Every config key with its type, range and default. The merged config
-#: (defaults, then config file, then flags) is checked against it.
+#: Every config key but ``format`` with its type, range and default. The
+#: merged config (defaults, then config file, then flags) is checked
+#: against it; the formats a subcommand writes are in ``_SUBCOMMANDS``.
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -54,7 +62,6 @@ CONFIG_SCHEMA = {
                    "default": 1e-6},
         "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
         "precision": {"enum": ["standard", "high"], "default": "standard"},
-        "format": {"enum": ["json", "csv"], "default": "json"},
         "out": {"type": ["string", "null"], "default": None},
         "starts": {"type": "integer", "minimum": 1, "default": 20},
         "grid_resolution": {"type": "integer", "minimum": 1, "default": 100},
@@ -64,83 +71,62 @@ CONFIG_SCHEMA = {
 
 _DEFAULTS = {key: prop["default"] for key, prop in CONFIG_SCHEMA["properties"].items()}
 
-#: search runs one (alpha, k) per entry, so its defaults are one value each.
-_SEARCH_DEFAULTS = {"n": [3, 4, 5], "alpha": [1], "k": [2]}
-
-#: Config keys each sweep subcommand does not use: it takes no flag for
-#: them and keeps their defaults whatever the config file says.
-_UNUSED = {
-    "verify": ("starts", "grid_resolution"),
-    "certify": ("kinds", "margin", "tolerance", "precision", "starts",
-                "grid_resolution", "inject_fault"),
-    "search": ("samples", "tolerance", "precision", "inject_fault"),
+#: The flag of each config key that has one, as (help, add_argument options).
+#: ``grid_resolution`` has none: search reads it from a config file only.
+_FLAGS = {
+    "n": ("polygon side counts", {"type": int, "nargs": "+"}),
+    "alpha": ("alpha exponents", {"type": int, "nargs": "+"}),
+    "k": ("k exponents, each >= 2", {"type": int, "nargs": "+"}),
+    "kinds": ("polygon kinds", {"nargs": "+", "choices": [kind.value for kind in PolygonKind]}),
+    "samples": ("samples per configuration", {"type": int}),
+    "seed": ("RNG seed", {"type": int}),
+    "margin": ("angle clearance from the domain endpoints", {"type": float}),
+    "tolerance": ("violation tolerance, relative", {"type": float}),
+    "precision": ("re-adjudicate violations with mpf arithmetic when high",
+                  {"choices": ["standard", "high"]}),
+    "inject_fault": ("add a sign-flipped entry; validates violation reporting "
+                     "and must make the run exit 1", {"action": "store_true"}),
+    "starts": ("optimizer restarts per entry", {"type": int}),
 }
 
 
+class _Subcommand(NamedTuple):
+    """One subcommand: what runs it, the config keys it reads besides
+    ``format`` and ``out``, the formats it writes (the first is its
+    default) and the defaults it sets apart from CONFIG_SCHEMA's."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    keys: tuple[str, ...]
+    formats: tuple[str, ...]
+    defaults: dict = {}
+
+    def config_defaults(self) -> dict:
+        return dict(_DEFAULTS, format=self.formats[0], **self.defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_SUBCOMMANDS`` entry, with a flag for each key it reads."""
     parser = argparse.ArgumentParser(
         prog="bonnesen",
         description="Verification lab for polygon isoperimetric slack inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, unused=()):
-        """The shared flags, except those named in ``unused``."""
-        p.add_argument("--n", type=int, nargs="+", default=None,
-                       help="polygon side counts (default 3..8; search 3 4 5)")
-        p.add_argument("--alpha", type=int, nargs="+", default=None,
-                       help="alpha exponents (default 1 2 3; search takes one, 1)")
-        p.add_argument("--k", type=int, nargs="+", default=None,
-                       help="k exponents, each >= 2 (default 2 3; search takes one, 2)")
-        if "kinds" not in unused:
-            p.add_argument("--kinds", nargs="+", default=None,
-                           choices=["tangential", "cyclic"],
-                           help="polygon kinds to sweep (default both)")
-        if "samples" not in unused:
-            p.add_argument("--samples", type=int, default=None,
-                           help="samples per configuration (default 10000)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 7)")
-        if "margin" not in unused:
-            p.add_argument("--margin", type=float, default=None,
-                           help="angle clearance from the domain endpoints")
-        if "tolerance" not in unused:
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="violation tolerance, relative (default 1e-10)")
-        if "precision" not in unused:
-            p.add_argument("--precision", choices=["standard", "high"], default=None,
-                           help="re-adjudicate violations with mpf arithmetic when high")
-        p.add_argument("--out", default=None, help="report output path")
-        p.add_argument("--format", choices=["json", "csv"], default=None,
-                       help="report format (default json)")
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == "report":
+            p.add_argument("path", help="existing JSON report")
+        defaults = command.config_defaults()
+        for key in command.keys:
+            if key in _FLAGS:
+                text, options = _FLAGS[key]
+                p.add_argument("--" + key.replace("_", "-"), default=None,
+                               help=f"{text} (default {defaults[key]})", **options)
+        p.add_argument("--format", choices=command.formats, default=None,
+                       help=f"output format (default {command.formats[0]})")
+        p.add_argument("--out", default=None, help="output file")
         p.add_argument("--config", default=None,
                        help=f"JSON config file (default from ${ENV_CONFIG})")
-
-    p_verify = sub.add_parser("verify", help="sampled soundness sweep")
-    add_common(p_verify, unused=_UNUSED["verify"])
-    p_verify.add_argument("--inject-fault", action="store_true", default=None,
-                          help="add a sign-flipped entry; validates violation "
-                               "reporting and must make the run exit 1")
-
-    p_certify = sub.add_parser("certify", help="Schur classification sweep")
-    add_common(p_certify, unused=_UNUSED["certify"])
-
-    p_search = sub.add_parser("search", help="slack minimization per entry")
-    add_common(p_search, unused=_UNUSED["search"])
-    p_search.add_argument("--starts", type=int, default=None,
-                          help="optimizer restarts per entry (default 20)")
-
-    p_catalog = sub.add_parser("catalog", help="list catalog entries")
-    p_catalog.add_argument("--kinds", nargs="+", default=None,
-                           choices=["tangential", "cyclic"])
-    p_catalog.add_argument("--format", choices=["json", "text"], default=None)
-    p_catalog.add_argument("--out", default=None)
-    p_catalog.add_argument("--config", default=None)
-
-    p_report = sub.add_parser("report", help="summarize or convert a saved report")
-    p_report.add_argument("path", help="existing JSON report")
-    p_report.add_argument("--format", choices=["json", "csv", "text"], default=None)
-    p_report.add_argument("--out", default=None)
-    p_report.add_argument("--config", default=None)
     return parser
 
 
@@ -151,27 +137,30 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path!r} must hold a JSON object")
     return data
 
 
-def _resolve_config(args, extra_defaults: dict | None = None) -> dict:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    cfg = dict(_DEFAULTS, **(extra_defaults or {}))
-    for key, default in cfg.items():
-        if key in _UNUSED[args.command]:
-            continue
+def _resolve_config(args) -> dict:
+    """Defaults, then the config file, then flags, for the keys the subcommand reads."""
+    command = _SUBCOMMANDS[args.command]
+    file_cfg = _load_config_file(args.config)
+    cfg = command.config_defaults()
+    for key in (*command.keys, "format", "out"):
         flag = getattr(args, key, None)
-        cfg[key] = flag if flag is not None else file_cfg.get(key, default)
-    _validate(cfg, CONFIG_SCHEMA)
+        cfg[key] = flag if flag is not None else file_cfg.get(key, cfg[key])
+    if cfg["format"] not in command.formats:
+        raise UsageError(f"config key 'format': {args.command} writes "
+                         f"{' or '.join(command.formats)}, got {cfg['format']!r}")
+    _validate(cfg)
     return cfg
 
 
-def _validate(cfg: dict, schema: dict) -> None:
-    """Raise UsageError naming the first key of ``cfg`` that breaks ``schema``.
+def _validate(cfg: dict) -> None:
+    """Raise UsageError naming the first key of ``cfg`` that breaks CONFIG_SCHEMA.
 
     JSON Schema's integer also admits 1000.0 and its number NaN; a config
     takes neither, so integers must be ints and numbers finite.
@@ -184,7 +173,7 @@ def _validate(cfg: dict, schema: dict) -> None:
         "number": lambda _, x: (isinstance(x, (int, float)) and not isinstance(x, bool)
                                 and math.isfinite(x)),
     }))
-    err = jsonschema.exceptions.best_match(strict(schema).iter_errors(cfg))
+    err = jsonschema.exceptions.best_match(strict(CONFIG_SCHEMA).iter_errors(cfg))
     if err is not None:
         raise UsageError(f"config key {err.absolute_path[0]!r}: {err.message}")
 
@@ -193,15 +182,25 @@ def _kinds(cfg) -> tuple[PolygonKind, ...]:
     return tuple(PolygonKind(k) for k in cfg["kinds"])
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc}") from exc
+
+
 def _emit(doc: reporting.ReportDocument, cfg: dict, summary_lines: list[str]) -> None:
     for line in summary_lines:
         print(line)
-    out = cfg.get("out")
+    out = cfg["out"]
     if out:
-        if cfg.get("format") == "csv":
-            reporting.write_csv(doc.results, out)
-        else:
-            reporting.write_json(doc, out)
+        _write(reporting.render_csv(doc.results) if cfg["format"] == "csv"
+               else reporting.render_json(doc), out)
         print(f"report written to {out}")
     print(f"determinism hash: {doc.determinism_hash}")
 
@@ -256,7 +255,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _resolve_config(args, extra_defaults=_SEARCH_DEFAULTS)
+    cfg = _resolve_config(args)
     for key in ("alpha", "k"):
         if len(cfg[key]) != 1:
             raise UsageError(f"config key {key!r}: search runs one value, got {cfg[key]}")
@@ -284,16 +283,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    kinds = getattr(args, "kinds", None) or file_cfg.get("kinds")
-    fmt = getattr(args, "format", None) or file_cfg.get("format") or "text"
-    if fmt not in ("json", "text"):
-        raise UsageError(f"config key 'format': catalog writes json or text, got {fmt!r}")
-    entries = catalog.list_entries()
-    if kinds:
-        _validate({"kinds": kinds}, CONFIG_SCHEMA)
-        wanted = {PolygonKind(k) for k in kinds}
-        entries = tuple(e for e in entries if e.kinds & wanted)
+    cfg = _resolve_config(args)
+    wanted = set(_kinds(cfg))
     rows = [{
         "id": e.id,
         "citation": e.citation,
@@ -304,8 +295,8 @@ def cmd_catalog(args) -> int:
         "alpha_fixed": e.params.alpha_fixed,
         "uses_k": e.params.uses_k,
         "k_fixed": e.params.k_fixed,
-    } for e in entries]
-    if fmt == "json":
+    } for e in catalog.list_entries() if e.kinds & wanted]
+    if cfg["format"] == "json":
         text = json.dumps({"schema_version": reporting.SCHEMA_VERSION,
                            "entries": rows}, indent=2, sort_keys=True) + "\n"
     else:
@@ -314,50 +305,43 @@ def cmd_catalog(args) -> int:
             kinds_s = ",".join(r["kinds"])
             lines.append(f"{r['id']:<10} [{r['citation']:<8}] ({kinds_s}) {r['formula']}")
         text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, cfg["out"])
     return 0
 
 
 def cmd_report(args) -> int:
     import jsonschema  # imported on use, as in reporting: it adds ~4 MiB
 
+    cfg = _resolve_config(args)
+    if cfg["out"] and os.path.realpath(cfg["out"]) == os.path.realpath(args.path):
+        raise UsageError(f"output {cfg['out']!r} would overwrite the report it reads")
     try:
         doc = reporting.load_report(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise UsageError(f"cannot read report {args.path!r}: {exc}") from exc
     try:
         reporting.validate_report(doc)
     except jsonschema.ValidationError as exc:
         raise UsageError(f"report {args.path!r} is not a valid "
                          f"{reporting.SCHEMA_VERSION} document: {exc.message}") from exc
-    fmt = args.format or "text"
-    results = doc.get("results", [])
-    if fmt == "csv":
+    results = doc["results"]
+    if cfg["format"] == "csv":
         text = reporting.render_csv(results)
-    elif fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif cfg["format"] == "json":
+        text = reporting.render_json(doc)
     else:
-        prov = doc.get("provenance", {})
+        prov = doc["provenance"]
         recomputed = reporting.determinism_hash(doc)
-        stored = prov.get("determinism_hash", "")
+        stored = prov["determinism_hash"]
         lines = [
-            f"command: {doc.get('command')}   schema: {doc.get('schema_version')}",
-            f"rows: {len(results)}   seed: {prov.get('seed')}   "
-            f"samples: {prov.get('samples')}",
+            f"command: {doc['command']}   schema: {doc['schema_version']}",
+            f"rows: {len(results)}   seed: {prov['seed']}   "
+            f"samples: {prov['samples']}",
             f"determinism hash: {stored} "
             f"({'consistent' if recomputed == stored else 'MISMATCH'})",
         ]
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, cfg["out"])
     return 0
 
 
@@ -365,12 +349,22 @@ def _public_config(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k not in ("format", "out")}
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "certify": cmd_certify,
-    "search": cmd_search,
-    "catalog": cmd_catalog,
-    "report": cmd_report,
+_SUBCOMMANDS = {
+    "verify": _Subcommand(
+        cmd_verify, "sampled soundness sweep",
+        ("n", "alpha", "k", "kinds", "samples", "seed", "margin", "tolerance",
+         "precision", "inject_fault"), ("json", "csv")),
+    "certify": _Subcommand(
+        cmd_certify, "Schur classification sweep",
+        ("n", "alpha", "k", "samples", "seed"), ("json", "csv")),
+    # search runs one (alpha, k) per entry, so its defaults are one value each.
+    "search": _Subcommand(
+        cmd_search, "slack minimization per entry",
+        ("n", "alpha", "k", "kinds", "seed", "margin", "starts", "grid_resolution"),
+        ("json", "csv"), {"n": [3, 4, 5], "alpha": [1], "k": [2]}),
+    "catalog": _Subcommand(cmd_catalog, "list catalog entries", ("kinds",), ("text", "json")),
+    "report": _Subcommand(cmd_report, "summarize or convert a saved report", (),
+                          ("text", "json", "csv")),
 }
 
 
@@ -381,7 +375,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command].run(args)
     except BonnesenError as exc:  # bad input; anomalies are counted, not raised
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,10 +43,6 @@ class RejectionBudgetExceeded(BonnesenError):
     """Rejection sampling exhausted its draw budget; the margin is too tight."""
 
 
-class TooCloseToBoundary(BonnesenError):
-    """Point lacks the clearance a finite-difference stencil needs."""
-
-
 class TotalsDiffer(BonnesenError):
     """Paired angle vectors must share the same coordinate sum."""
 

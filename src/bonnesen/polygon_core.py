@@ -51,9 +51,6 @@ DEFAULT_MARGIN = 1e-6
 #: Relative tolerance on the angle-sum constraint.
 SUM_RTOL = 1e-12
 
-#: Rejection sampling draws at most this many candidates per point.
-DEFAULT_DRAW_CAP = 500
-
 # Fixed draw chunk so the RNG stream does not depend on call pattern.
 _CHUNK = 128
 
@@ -345,39 +342,6 @@ def _check_margin_window(n: int, total: float, margin: float, bound: float) -> N
         )
 
 
-def sample_simplex(
-    n: int,
-    total: float,
-    margin: float,
-    seed: int,
-    bound: float = GEOMETRIC_BOUND,
-    max_draws: int = DEFAULT_DRAW_CAP,
-) -> AngleVector:
-    """One uniform point of the scaled simplex, margin-respecting.
-
-    Draws symmetric Dirichlet(1, ..., 1) weights rescaled to ``total`` and
-    rejects until every coordinate lies in (margin, bound - margin).
-    Deterministic given ``seed``. Raises RejectionBudgetExceeded after
-    ``max_draws`` candidates, which signals the margin window is too tight.
-    """
-    _check_margin_window(n, total, margin, bound)
-    rng = np.random.default_rng(seed)
-    drawn = 0
-    while drawn < max_draws:
-        count = min(_CHUNK, max_draws - drawn)
-        cand = rng.dirichlet(np.ones(n), size=count) * total
-        ok = ((cand > margin) & (cand < bound - margin)).all(axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            row = cand[hits[0]]
-            return AngleVector(values=tuple(float(v) for v in row), total=float(total))
-        drawn += count
-    raise RejectionBudgetExceeded(
-        f"no sample with all coordinates in ({margin!r}, {bound - margin!r}) "
-        f"after {max_draws} draws"
-    )
-
-
 def sample_simplex_batch(
     n: int,
     total: float,
@@ -388,9 +352,12 @@ def sample_simplex_batch(
 ) -> np.ndarray:
     """``count`` independent simplex points as a (count, n) array.
 
-    Same distribution and margin rule as :func:`sample_simplex`; the batch
-    is deterministic given (seed, count). The draw budget scales with the
-    request so a feasible margin never spuriously fails.
+    Draws symmetric Dirichlet(1, ..., 1) weights rescaled to ``total`` and
+    keeps, in draw order, the rows whose every coordinate lies in
+    (margin, bound - margin). Deterministic given (seed, count). The draw
+    budget, max(10^4, 64 count), scales with the request; running out of
+    it raises RejectionBudgetExceeded, which signals that the margin
+    window is too tight.
     """
     _check_margin_window(n, total, margin, bound)
     if count < 1:

@@ -115,10 +115,13 @@ def determinism_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def render_json(doc: ReportDocument) -> str:
-    """The report as JSON; NaN and Infinity are not JSON, so they are refused."""
+def render_json(doc: ReportDocument | dict) -> str:
+    """The report, built or loaded, as JSON; NaN and Infinity are not JSON,
+    so they are refused."""
+    if isinstance(doc, ReportDocument):
+        doc = doc.to_dict()
     try:
-        return json.dumps(doc.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFiniteValue(f"report not written: {exc}") from exc
 
@@ -171,8 +174,3 @@ def render_csv(results: list) -> str:
     for row in record_rows(results):
         writer.writerow(row)
     return buf.getvalue()
-
-
-def write_csv(results: list, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(results))

@@ -26,11 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .analytic_inequalities import FunctionFamily
-from .errors import DomainViolation, TooCloseToBoundary
+from .errors import DomainViolation
 from .polygon_core import sample_simplex_batch
-
-#: Central finite-difference step (radians); balances truncation and roundoff.
-FD_STEP = 1e-6
 
 #: Noise floor = this factor times the sampled condition-value scale.
 NOISE_FLOOR_FACTOR = 1e-9
@@ -42,16 +39,14 @@ class SymmetricFunction:
 
     ``evaluate`` maps a point of shape (n,) or a batch (m, n) to a scalar
     or (m,) array. ``partial`` maps (indices, batch) to a list of partial
-    derivatives over the (m, n) batch, one (m,) array per index, supplied
-    in closed form where available, so that work shared by the partials
-    is done once; when None the certifier falls back to central finite
-    differences with step :data:`FD_STEP`.
+    derivatives over the (m, n) batch, one (m,) array per index, in closed
+    form, so that work shared by the partials is done once.
     """
 
     arity: int
     domain: tuple[float, float]
     evaluate: Callable
-    partial: Callable | None = None
+    partial: Callable
     name: str = ""
 
 
@@ -62,29 +57,8 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def finite_difference_partial(
-    F: SymmetricFunction, i: int, points, h: float = FD_STEP
-) -> np.ndarray:
-    """Central difference (F(x + h e_i) - F(x - h e_i)) / 2h."""
-    pts, single = _as_batch(points)
-    lo, hi = F.domain
-    if (pts[:, i] - h <= lo).any() or (pts[:, i] + h >= hi).any():
-        raise TooCloseToBoundary(
-            f"coordinate {i} within {h!r} of the domain boundary"
-        )
-    up = pts.copy()
-    up[:, i] += h
-    down = pts.copy()
-    down[:, i] -= h
-    out = (np.asarray(F.evaluate(up), dtype=float)
-           - np.asarray(F.evaluate(down), dtype=float)) / (2.0 * h)
-    return out[0] if single else out
-
-
 def partial_values(F: SymmetricFunction, indices, points) -> list[np.ndarray]:
     """dF/dx_i at ``points`` for each i in ``indices``, from one F.partial call."""
-    if F.partial is None:
-        return [finite_difference_partial(F, i, points) for i in indices]
     pts, single = _as_batch(points)
     out = [np.asarray(d, dtype=float) for d in F.partial(indices, pts)]
     return [d[0] for d in out] if single else out

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism, config."""
 
+import argparse
 import json
 import math
 import os
@@ -69,6 +70,13 @@ class TestCatalogCommand:
         from_file = capsys.readouterr().out
         assert run(["catalog", "--format", fmt]) == 0
         assert from_file == capsys.readouterr().out
+
+    def test_config_out_is_written(self, tmp_path, capsys):
+        path, listing = tmp_path / "cfg.json", tmp_path / "catalog.txt"
+        path.write_text(json.dumps({"out": str(listing)}))
+        assert run(["catalog", "--config", str(path)]) == 0
+        assert not capsys.readouterr().out
+        assert listing.read_text().startswith("20 entries")
 
 
 class TestVerifyCommand:
@@ -357,6 +365,46 @@ class TestReportCommand:
             f"error: report {str(bad)!r} is not a valid bonnesen-report/1 document: "
             f"{reference.value.message}\n")
 
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])
+        capsys.readouterr()
+        assert run(["report", str(rep), "--config", str(tmp_path / "missing.json")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_format_csv(self, tmp_path, capsys):
+        rep, path = tmp_path / "rep.json", tmp_path / "cfg.json"
+        run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])
+        path.write_text(json.dumps({"format": "csv"}))
+        capsys.readouterr()
+        assert run(["report", str(rep), "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("entry_id,n,R,alpha,k,lhs,rhs,slack,equality\n")
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_out_over_the_report_read_is_usage_error(self, via, tmp_path, capsys):
+        rep, path = tmp_path / "rep.json", tmp_path / "cfg.json"
+        run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])
+        before = rep.read_text()
+        path.write_text(json.dumps({"out": str(rep)}))
+        argv = ["--out", str(rep)] if via == "flag" else ["--config", str(path)]
+        capsys.readouterr()
+        assert run(["report", str(rep)] + argv) == 2
+        assert "would overwrite the report it reads" in capsys.readouterr().err
+        assert rep.read_text() == before
+
+    def test_json_conversion_refuses_non_finite(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])
+        capsys.readouterr()
+        assert run(["report", str(rep), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(rep.read_text())
+        doc = json.loads(rep.read_text())
+        doc["results"][0]["min_slack"] = math.nan
+        rep.write_text(json.dumps(doc))
+        assert run(["report", str(rep), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "not JSON compliant" in captured.err
+
 
 class TestConfigFile:
     def test_file_then_flag_precedence(self, tmp_path, capsys):
@@ -415,6 +463,64 @@ class TestConfigFile:
         assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "{bad}"],
+    ["verify", "--config", "{bad}"],
+    ["catalog", "--config", "{bad}"],
+])
+def test_non_utf8_input_is_usage_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run([arg.format(bad=bad) for arg in argv]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot read") and "utf-8" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--samples", "50"],
+    ["certify", "--n", "3", "--alpha", "1", "--k", "2", "--samples", "50"],
+    ["search", "--n", "3", "--kinds", "cyclic", "--starts", "1"],
+    ["catalog"],
+    ["report", "{report}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    report = tmp_path / "rep.json"
+    run(["verify", "--n", "3", "--samples", "50", "--out", str(report)])
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.txt"
+    assert run([arg.format(report=report) for arg in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {str(out)!r}: [Errno 2] No such file or directory: {str(out)!r}"]
+
+
+#: The flags each subcommand takes besides --help.
+SUBCOMMAND_FLAGS = {
+    "verify": {"--n", "--alpha", "--k", "--kinds", "--samples", "--seed", "--margin",
+               "--tolerance", "--precision", "--inject-fault", "--format", "--out",
+               "--config"},
+    "certify": {"--n", "--alpha", "--k", "--samples", "--seed", "--format", "--out",
+                "--config"},
+    "search": {"--n", "--alpha", "--k", "--kinds", "--seed", "--margin", "--starts",
+               "--format", "--out", "--config"},
+    "catalog": {"--kinds", "--format", "--out", "--config"},
+    "report": {"--format", "--out", "--config"},
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_FLAGS))
+def test_subcommand_takes_the_flags_of_its_table_entry(name):
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parser = subparsers.choices[name]
+    flags = {flag for action in parser._actions for flag in action.option_strings}
+    command = cli._SUBCOMMANDS[name]
+    table = {"--" + key.replace("_", "-") for key in command.keys if key in cli._FLAGS}
+    assert flags - {"-h", "--help"} == table | {"--format", "--out", "--config"}
+    assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[name]
+    positionals = [action.dest for action in parser._actions if not action.option_strings]
+    assert positionals == (["path"] if name == "report" else [])
+
+
 class TestDeterminismHashHelper:
     def test_hash_ignores_timestamp(self):
         doc = {"schema_version": reporting.SCHEMA_VERSION, "command": "verify",
@@ -439,3 +545,7 @@ def test_console_script_installed():
     proc = run_module("catalog")
     assert proc.returncode == 0
     assert proc.stdout.startswith("20 entries")
+    for name in SUBCOMMAND_FLAGS:
+        proc = run_module(name, "--help")
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout.startswith(f"usage: bonnesen {name}")

@@ -14,7 +14,6 @@ from bonnesen import (
     make_angle_vector,
     measure,
     regular_angles,
-    sample_simplex,
     sample_simplex_batch,
 )
 
@@ -163,26 +162,26 @@ class TestMeasureProperties:
 
 class TestSampleSimplex:
     def test_deterministic_given_seed(self):
-        a = sample_simplex(3, PI, 0.01, seed=42)
-        b = sample_simplex(3, PI, 0.01, seed=42)
-        assert a.values == b.values
+        a = sample_simplex_batch(3, PI, 0.01, 1, seed=42)
+        b = sample_simplex_batch(3, PI, 0.01, 1, seed=42)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_contract(self, seed):
-        av = sample_simplex(3, PI, 0.01, seed=seed)
-        assert all(0.01 < v < PI / 2 - 0.01 for v in av.values)
-        assert math.fsum(av.values) == pytest.approx(PI, rel=1e-12)
+        (row,) = sample_simplex_batch(3, PI, 0.01, 1, seed=seed)
+        assert all(0.01 < v < PI / 2 - 0.01 for v in row)
+        assert math.fsum(row) == pytest.approx(PI, rel=1e-12)
 
     def test_budget_exceeded_for_thin_margin(self):
-        # margin 0.5 leaves a feasible but tiny window (acceptance rate
-        # around 2e-3 per draw), so the default draw cap runs out.
+        # margin 0.6 leaves a feasible but tiny window, so no point is
+        # accepted within the 10^4-draw budget of a one-point batch.
         with pytest.raises(errors.RejectionBudgetExceeded):
-            sample_simplex(5, PI, 0.5, seed=1)
+            sample_simplex_batch(5, PI, 0.6, 1, seed=1)
 
     def test_infeasible_margin_rejected_upfront(self):
         # sigma = pi/5 < 0.7: the margin window cannot contain the mean.
         with pytest.raises(errors.DomainViolation):
-            sample_simplex(5, PI, 0.7, seed=0)
+            sample_simplex_batch(5, PI, 0.7, 1, seed=0)
 
     def test_batch_deterministic_and_in_window(self):
         a = sample_simplex_batch(4, PI, 1e-3, 200, seed=9)
