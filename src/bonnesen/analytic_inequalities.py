@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingMu, OutOfDomain, ParamOutOfDomain, TotalsDiffer
+from .errors import MissingMu, OutOfDomain, TotalsDiffer
 from .polygon_core import AngleVector
 from .records import SlackRecord
 
@@ -100,25 +100,25 @@ def _shifted_cosh(c: float):
     )
 
 
-def builtin_families(bound: float = 1.0, cosh_shift: float | None = None) -> list[FunctionFamily]:
+#: sinh and theta -> cosh(c - theta) live on (0, HYPERBOLIC_BOUND), with c
+#: = HYPERBOLIC_BOUND, the least c that keeps the latter's f' negative there.
+HYPERBOLIC_BOUND = 1.0
+
+
+def builtin_families() -> list[FunctionFamily]:
     """The stock families.
 
     Convex positive families (power and reverse gaps): tan, sec, csc on
     (0, pi/2) and x^2 on (0, 1). Constant-mu families (coupled gap): sin
-    and cos on (0, pi/2) with mu = 1, sinh on (0, bound) with mu = 1, and
-    theta -> cosh(c - theta) on (0, bound) with mu = -1, where c >= bound
-    (default c = bound) keeps f' negative on the whole interval.
+    and cos on (0, pi/2) with mu = 1, sinh on (0, b) with mu = 1, and
+    theta -> cosh(b - theta) on (0, b) with mu = -1, where b is
+    HYPERBOLIC_BOUND.
     """
-    if cosh_shift is None:
-        cosh_shift = bound
-    if cosh_shift < bound:
-        raise ParamOutOfDomain(
-            f"cosh shift must be >= interval bound, got {cosh_shift} < {bound}")
     half_pi = math.pi / 2
     sec = lambda x: 1.0 / np.cos(x)
     csc = lambda x: 1.0 / np.sin(x)
     cot = lambda x: np.cos(x) / np.sin(x)
-    ch_f, ch_fp, ch_fpp = _shifted_cosh(cosh_shift)
+    ch_f, ch_fp, ch_fpp = _shifted_cosh(HYPERBOLIC_BOUND)
     return [
         FunctionFamily(
             "tan", (0.0, half_pi),
@@ -161,13 +161,13 @@ def builtin_families(bound: float = 1.0, cosh_shift: float | None = None) -> lis
             mu=1.0, ode_case=ODE_CASES[CaseId.I2],
         ),
         FunctionFamily(
-            "sinh", (0.0, bound),
+            "sinh", (0.0, HYPERBOLIC_BOUND),
             np.sinh, np.cosh, np.sinh,
             Convexity.STRICTLY_CONVEX, positivity=True,
             mu=1.0, ode_case=ODE_CASES[CaseId.II1],
         ),
         FunctionFamily(
-            "shifted_cosh", (0.0, bound),
+            "shifted_cosh", (0.0, HYPERBOLIC_BOUND),
             ch_f, ch_fp, ch_fpp,
             Convexity.STRICTLY_CONVEX, positivity=True,
             mu=-1.0, ode_case=ODE_CASES[CaseId.II2],
@@ -175,9 +175,9 @@ def builtin_families(bound: float = 1.0, cosh_shift: float | None = None) -> lis
     ]
 
 
-def family(name: str, **kwargs) -> FunctionFamily:
+def family(name: str) -> FunctionFamily:
     """Look one stock family up by name."""
-    for fam in builtin_families(**kwargs):
+    for fam in builtin_families():
         if fam.name == name:
             return fam
     raise KeyError(f"no builtin family named {name!r}")

@@ -51,7 +51,7 @@ class MissingMu(BonnesenError):
     """Function family lacks the differential-constraint constant mu."""
 
 
-class KindMismatch(BonnesenError):
+class KindMismatch(DomainViolation):
     """Catalog entry does not apply to the polygon's kind."""
 
 

@@ -41,6 +41,7 @@ from .errors import BudgetExceeded, DomainViolation
 from .polygon_core import (
     DEFAULT_MARGIN,
     GEOMETRIC_BOUND,
+    SWEEP_RADIUS,
     AngleVector,
     PolygonKind,
     PolygonModel,
@@ -49,6 +50,11 @@ from .polygon_core import (
     float_regular_part,
     seed_parts,
 )
+
+#: Every descent stops at a simplex diameter below DESCENT_XTOL or after
+#: DESCENT_MAX_ITER iterations; minimize_slack makes MAX_STARTS at most.
+DESCENT_XTOL, DESCENT_MAX_ITER = 1e-10, 4000
+MAX_STARTS = 160
 
 #: grid_scan refuses lattices with more points than this. The count is of
 #: compositions (lattice_point_count), an upper bound on the sorted index
@@ -83,13 +89,6 @@ class SearchResult:
     converged: bool
     distance_to_regular: float
 
-    def describe(self) -> str:
-        tail = ("no non-regular equality configuration found within tolerance"
-                if self.distance_to_regular < 1e-3 else
-                f"minimum located {self.distance_to_regular:.2e} from regular")
-        return (f"{self.entry_id}: best slack {self.best_slack:.3e} after "
-                f"{self.starts} starts ({tail})")
-
 
 @dataclass(frozen=True)
 class GridScanResult:
@@ -119,9 +118,7 @@ def _case(entry_or_id, n: int, alpha, k, kind: PolygonKind | None, margin: float
     if kind is None:
         # Dual-kind entry with no kind given: tangential is the wider family.
         kind = next(iter(entry.kinds)) if len(entry.kinds) == 1 else PolygonKind.TANGENTIAL
-    elif not entry.applies_to(kind):
-        raise DomainViolation(f"entry {entry.id} does not apply to {kind.value} polygons")
-    alpha, k = entry.params.validate(alpha, k)
+    alpha, k = catalog._checked_params(entry, kind, alpha, k)
     _check_margin_window(n, _TOTAL, margin, GEOMETRIC_BOUND)
     return entry, kind, alpha, k
 
@@ -164,7 +161,7 @@ def _start_point(seed, index: int, n: int, margin: float) -> np.ndarray:
     return _free_from_angles(_feasible_start(rng, n, margin), n, margin)
 
 
-def _objective(entry, kind, n, radius, alpha, k, margin):
+def _objective(entry, kind, n, alpha, k, margin):
     """Slack of each free row; inf where an angle reaches the upper bound."""
     upper = GEOMETRIC_BOUND - margin
 
@@ -173,11 +170,12 @@ def _objective(entry, kind, n, radius, alpha, k, margin):
         try:
             # One test for the batch; a NaN row fails it and is masked below.
             if np.maximum.reduce(theta, axis=None) < upper:
-                return catalog.evaluate_batch(entry, kind, radius, theta, alpha, k)["slack"]
+                return catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, theta, alpha, k)["slack"]
             ok = ~(theta >= upper).any(axis=1)
             f = np.full(len(z), np.inf)
             if ok.any():
-                f[ok] = catalog.evaluate_batch(entry, kind, radius, theta[ok], alpha, k)["slack"]
+                f[ok] = catalog.evaluate_batch(
+                    entry, kind, SWEEP_RADIUS, theta[ok], alpha, k)["slack"]
             return f
         except OverflowError as exc:  # a power of Python floats in the sides
             raise catalog._overflow(entry, kind, n, alpha, k) from exc
@@ -389,25 +387,24 @@ class _Lanes:
 def minimize_slack(
     entry_or_id,
     n: int,
-    radius: float = 1.0,
+    *,
     alpha: int | None = None,
     k: int | None = None,
     starts: int = 20,
     seed: int = 0,
     kind: PolygonKind | None = None,
     margin: float = DEFAULT_MARGIN,
-    xtol: float = 1e-10,
-    max_iter: int = 4000,
-    max_starts: int = 160,
 ) -> SearchResult:
-    """Multi-start simplex descent on an entry's slack.
+    """Multi-start simplex descent on an entry's slack at R = 1.
 
     Runs ``starts`` independent descents from seeded random simplex points;
-    when none converges the start count doubles, up to ``max_starts``.
-    Deterministic given the seed, independent of any parallelism.
+    when none converges the start count doubles, up to MAX_STARTS starts
+    in all. Each descent stops at a simplex diameter below DESCENT_XTOL or
+    after DESCENT_MAX_ITER iterations. Deterministic given the seed,
+    independent of any parallelism.
     """
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
-    fn = _objective(entry, kind, n, radius, alpha, k, margin)
+    fn = _objective(entry, kind, n, alpha, k, margin)
     sigma = _TOTAL / n
 
     best_z, best_f = None, float("inf")
@@ -415,9 +412,9 @@ def minimize_slack(
     any_converged = False
     used = 0
     batch = max(1, starts)
-    while used < max_starts:
-        batch = min(batch, max_starts - used)
-        lanes = _Lanes(fn, n - 1, xtol, max_iter)
+    while used < MAX_STARTS:
+        batch = min(batch, MAX_STARTS - used)
+        lanes = _Lanes(fn, n - 1, DESCENT_XTOL, DESCENT_MAX_ITER)
         for idx in range(used, used + batch):
             lanes.add(idx, _start_point(seed, idx, n, margin))
         # Overflowing slacks are refused below, not warned about.
@@ -469,15 +466,14 @@ def _lattice_params(n: int, resolution: int, margin: float):
 def grid_scan(
     entry_or_id,
     n: int,
-    radius: float = 1.0,
+    *,
     alpha: int | None = None,
     k: int | None = None,
     resolution: int = 400,
     kind: PolygonKind | None = None,
     margin: float = DEFAULT_MARGIN,
-    point_cap: int = GRID_POINT_CAP,
 ) -> GridScanResult:
-    """Exhaustive slack minimum over the simplex lattice.
+    """Exhaustive slack minimum over the simplex lattice at R = 1.
 
     The lattice is theta_i = margin + j_i * step with step =
     (pi - n margin) / resolution and sum j_i = resolution, every
@@ -487,7 +483,7 @@ def grid_scan(
     a point's value is the slack of its ascending angle row, and the
     argmin is the lexicographically smallest sorted tuple among ties.
     The composition count is computed in closed form first; above
-    ``point_cap`` the scan refuses with BudgetExceeded rather than
+    GRID_POINT_CAP the scan refuses with BudgetExceeded rather than
     grinding. A slack that is not finite raises NonFiniteValue.
     """
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
@@ -495,9 +491,9 @@ def grid_scan(
         raise DomainViolation(f"resolution {resolution} < n = {n}: empty lattice")
     step, hi = _lattice_params(n, resolution, margin)
     count = lattice_point_count(resolution, n, hi)
-    if count > point_cap:
+    if count > GRID_POINT_CAP:
         raise BudgetExceeded(
-            f"lattice has {count:,} points, above the cap of {point_cap:,}"
+            f"lattice has {count:,} points, above the cap of {GRID_POINT_CAP:,}"
         )
     if count == 0:
         raise DomainViolation("no feasible lattice point at this resolution")
@@ -508,7 +504,7 @@ def grid_scan(
     # The per-angle terms take one value per lattice index, so they are
     # tabulated once and every plane's sums are gathered from the tables.
     terms_L, terms_A = angle_terms(kind, margin + np.arange(hi + 1) * step)
-    regular = float_regular_part(kind, n, radius)
+    regular = float_regular_part(kind, n, SWEEP_RADIUS)
 
     # Vectorize the last three indices: a plane is the pairs ja <= jb in
     # lexicographic order, each completed by jc. Peel the leading indices
@@ -530,7 +526,7 @@ def grid_scan(
         sum_A = sum_L if terms_A is terms_L else terms_A[rows].sum(axis=1)
         ctx = regular.context(sum_L, sum_A)
         try:
-            slack = catalog.evaluate_batch(entry, kind, radius, ctx, alpha, k)["slack"]
+            slack = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, alpha, k)["slack"]
         except OverflowError as exc:  # a power of Python floats in the sides
             raise catalog._overflow(entry, kind, n, alpha, k) from exc
         # Every lattice point lies in the domain, so a slack that is not
@@ -581,22 +577,22 @@ def _falsify_lanes(budget_evals: int) -> int:
 def falsify(
     entry_or_id,
     n: int,
-    radius: float = 1.0,
+    *,
     alpha: int | None = None,
     k: int | None = None,
     budget_evals: int = 100_000,
     seed: int = 0,
     kind: PolygonKind | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> Counterexample | None:
-    """Adversarial search for a certified violation of an entry.
+    """Adversarial search for a certified violation of an entry at R = 1.
 
     Runs simplex descents until the objective-evaluation budget is spent,
-    :func:`_falsify_lanes` starts at a time. Starts are settled in start
-    order as if run one after another: start i counts only if the starts
-    before it spent less than the budget, and the first certified
-    counterexample in start order wins, so the verdict does not depend on
-    the lane count.
+    :func:`_falsify_lanes` starts at a time, with the stopping rule of
+    :func:`minimize_slack` and angles DEFAULT_MARGIN inside the domain.
+    Starts are settled in start order as if run one after another: start
+    i counts only if the starts before it spent less than the budget, and
+    the first certified counterexample in start order wins, so the verdict
+    does not depend on the lane count.
     Any candidate with slack below -1e-8 * scale is re-evaluated in
     high-precision mode; only an exact negative of the same magnitude is
     returned. None means no counterexample was found within budget, i.e.
@@ -604,10 +600,10 @@ def falsify(
     descent ends at a finite slack the sides overflow, and NonFiniteValue
     is raised, as :func:`minimize_slack` raises it.
     """
-    entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
-    fn = _objective(entry, kind, n, radius, alpha, k, margin)
-    upper = GEOMETRIC_BOUND - margin
-    lanes = _Lanes(fn, n - 1, 1e-10, 4000)
+    entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, DEFAULT_MARGIN)
+    fn = _objective(entry, kind, n, alpha, k, DEFAULT_MARGIN)
+    upper = GEOMETRIC_BOUND - DEFAULT_MARGIN
+    lanes = _Lanes(fn, n - 1, DESCENT_XTOL, DESCENT_MAX_ITER)
     width = _falsify_lanes(budget_evals)
     finished: dict[int, _Descent] = {}
     spent = settled = launched = 0
@@ -617,7 +613,7 @@ def falsify(
             # Start ``launched`` runs only if the starts before it spend
             # less than the budget; lanes.spent bounds their spend below.
             while len(lanes) < width and lanes.spent < budget_evals:
-                lanes.add(launched, _start_point(seed, launched, n, margin))
+                lanes.add(launched, _start_point(seed, launched, n, DEFAULT_MARGIN))
                 launched += 1
             # A descent that overflows ends at a non-finite slack and is
             # skipped below, not warned about.
@@ -632,11 +628,11 @@ def falsify(
         if not math.isfinite(d.f):
             continue  # overflowing sides; every start is feasible
         any_finite = True
-        theta = _angles_from_free(d.z[None, :], n, margin)[0]
+        theta = _angles_from_free(d.z[None, :], n, DEFAULT_MARGIN)[0]
         if (theta >= upper).any():
             continue  # descent never left the infeasible barrier
         angles = AngleVector(values=tuple(float(v) for v in theta), total=_TOTAL)
-        poly = PolygonModel(kind=kind, radius=radius, angles=angles)
+        poly = PolygonModel(kind=kind, radius=SWEEP_RADIUS, angles=angles)
         std = catalog.evaluate(entry, poly, alpha, k)
         if std.slack < -COUNTEREXAMPLE_RTOL * std.scale:
             exact = catalog.evaluate_exact(entry, poly, alpha, k)

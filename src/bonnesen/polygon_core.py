@@ -48,6 +48,9 @@ GEOMETRIC_BOUND = math.pi / 2
 #: Default clearance from the interval endpoints; keeps tan(theta) bounded.
 DEFAULT_MARGIN = 1e-6
 
+#: Circle radius of every sweep and search: slacks are checked at R = 1.
+SWEEP_RADIUS = 1.0
+
 #: Relative tolerance on the angle-sum constraint.
 SUM_RTOL = 1e-12
 

@@ -77,13 +77,13 @@ class ReportDocument:
     seed: object
     samples: int | None
     precision_mode: str
-    schema_version: str = SCHEMA_VERSION
-    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-    determinism_hash: str = ""
+    schema_version: str = field(default=SCHEMA_VERSION, init=False)
+    timestamp: str = field(init=False,
+                           default_factory=lambda: datetime.now(timezone.utc).isoformat())
+    determinism_hash: str = field(default="", init=False)
 
     def __post_init__(self):
-        if not self.determinism_hash:
-            self.determinism_hash = determinism_hash(self.to_dict())
+        self.determinism_hash = determinism_hash(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -116,12 +116,12 @@ def determinism_hash(doc: dict) -> str:
 
 
 def render_json(doc: ReportDocument | dict) -> str:
-    """The report, built or loaded, as JSON; NaN and Infinity are not JSON,
-    so they are refused."""
+    """The report, built or loaded, as compact JSON, which json's C encoder
+    writes (an indent turns it off); NaN and Infinity are refused."""
     if isinstance(doc, ReportDocument):
         doc = doc.to_dict()
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFiniteValue(f"report not written: {exc}") from exc
 

@@ -18,7 +18,6 @@ draw order, so a verdict depends only on the seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -27,10 +26,12 @@ import numpy as np
 
 from .analytic_inequalities import FunctionFamily
 from .errors import DomainViolation
-from .polygon_core import sample_simplex_batch
+from .polygon_core import GEOMETRIC_BOUND, sample_simplex_batch
 
 #: Noise floor = this factor times the sampled condition-value scale.
 NOISE_FLOOR_FACTOR = 1e-9
+#: Clearance of every sampled coordinate from the ends of the domain.
+CERTIFY_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,11 @@ def certify(
     total: float,
     samples: int,
     seed: int,
-    margin: float = 1e-4,
 ) -> SchurVerdict:
     """Classify F by the sign of the Schur condition over sampled points.
 
-    Draws ``samples`` uniform points of the constrained simplex (same
-    margin-respecting Dirichlet scheme as the polygon sampler), evaluates
+    Draws ``samples`` uniform points of the constrained simplex, CERTIFY_MARGIN
+    inside F's domain (the polygon sampler's Dirichlet scheme), evaluates
     the (1, 2) condition at each and classifies:
 
       * all values >= -floor           -> SCHUR_CONVEX
@@ -124,7 +124,7 @@ def certify(
     if samples < 1:
         raise DomainViolation(f"samples must be >= 1, got {samples}")
     lo, hi = F.domain
-    pts = sample_simplex_batch(F.arity, total, margin, samples, seed, bound=hi)
+    pts = sample_simplex_batch(F.arity, total, CERTIFY_MARGIN, samples, seed, bound=hi)
     d1, d2 = partial_values(F, (0, 1), pts)
     diff = pts[:, 0] - pts[:, 1]
     values = diff * (d1 - d2)
@@ -230,8 +230,8 @@ def power_gap_reverse_function(
     )
 
 
-def linear_function(n: int, domain: tuple[float, float] = (0.0, math.pi / 2)) -> SymmetricFunction:
-    """sum x_i: Schur-convex and Schur-concave at once, strict in neither."""
+def linear_function(n: int) -> SymmetricFunction:
+    """sum x_i on (0, pi/2): Schur-convex and Schur-concave, strict in neither."""
 
     def evaluate(x):
         pts, single = _as_batch(x)
@@ -241,6 +241,6 @@ def linear_function(n: int, domain: tuple[float, float] = (0.0, math.pi / 2)) ->
     def partial(indices, pts):
         return [np.ones(pts.shape[0]) for _ in indices]
 
-    return SymmetricFunction(arity=n, domain=domain, evaluate=evaluate,
+    return SymmetricFunction(arity=n, domain=(0.0, GEOMETRIC_BOUND), evaluate=evaluate,
                              partial=partial, name=f"linear[n={n}]")
 

@@ -22,11 +22,15 @@ import numpy as np
 
 from . import extremal_search, inequality_catalog as catalog, schur_certifier
 from .analytic_inequalities import family
-from .polygon_core import (DEFAULT_MARGIN, AngleVector, PolygonKind, PolygonModel,
-                           measure_arrays, sample_simplex_batch, seed_parts)
+from .polygon_core import (DEFAULT_MARGIN, SWEEP_RADIUS, AngleVector, PolygonKind,
+                           PolygonModel, measure_arrays, sample_simplex_batch, seed_parts)
 from .records import EQUALITY_RTOL, VIOLATION_RTOL
 
 _KIND_INDEX = {PolygonKind.TANGENTIAL: 0, PolygonKind.CYCLIC: 1}
+
+#: search_sweep's anomaly thresholds: two slack tolerances relative to the
+#: term scale, and a distance from the regular polygon in radians.
+SLACK_RTOL, MISS_RTOL, DISTANCE_TOL = 1e-8, 1e-6, 1e-3
 
 
 def verify_sweep(
@@ -37,12 +41,11 @@ def verify_sweep(
     samples: int = 10_000,
     seed=7,
     margin: float = 1e-6,
-    radius: float = 1.0,
     tolerance_rtol: float = VIOLATION_RTOL,
     extra_entries=(),
     high_precision: bool = False,
 ) -> tuple[list[dict], int]:
-    """Sampled soundness sweep; returns (rows, total certified violations).
+    """Sampled soundness sweep at R = 1; returns (rows, total certified violations).
 
     Violations are slack < -tolerance_rtol * max(1, |lhs|, |rhs|). In
     high-precision mode each float-level violation is re-evaluated with
@@ -66,13 +69,13 @@ def verify_sweep(
                 n, math.pi, margin, samples,
                 seed=seed_parts(seed) + [_KIND_INDEX[kind], n],
             )
-            ctx = measure_arrays(kind, radius, pts)
+            ctx = measure_arrays(kind, SWEEP_RADIUS, pts)
             # Overflow is reported below as NonFiniteValue, not as numpy's
             # warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 for entry, a, kk in cells:
                     try:
-                        out = catalog.evaluate_batch(entry, kind, radius, ctx, a, kk)
+                        out = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, a, kk)
                     except OverflowError as exc:
                         raise catalog._overflow(entry, kind, n, a, kk) from exc
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]
@@ -87,7 +90,7 @@ def verify_sweep(
                     violating = slack < -tolerance_rtol * side_scale
                     violations = np.count_nonzero(violating)
                     if high_precision and violations:
-                        violations = _confirm_exact(entry, kind, radius, pts, a, kk,
+                        violations = _confirm_exact(entry, kind, pts, a, kk,
                                                     np.flatnonzero(violating), tolerance_rtol)
                     eq_tol = EQUALITY_RTOL * side_scale
                     argmin_row = pts[i_min].tolist()
@@ -96,7 +99,7 @@ def verify_sweep(
                         "citation": entry.citation,
                         "kind": kind.value,
                         "n": int(n),
-                        "R": float(radius),
+                        "R": SWEEP_RADIUS,
                         "alpha": a,
                         "k": kk,
                         "samples": int(samples),
@@ -118,12 +121,12 @@ def verify_sweep(
     return rows, total_violations
 
 
-def _confirm_exact(entry, kind, radius, pts, alpha, k, viol_idx, rtol) -> int:
+def _confirm_exact(entry, kind, pts, alpha, k, viol_idx, rtol) -> int:
     """How many of the rows ``viol_idx`` of ``pts`` stay violations at 50 digits."""
     confirmed = 0
     for row in pts[viol_idx].tolist():
         angles = AngleVector(values=tuple(row), total=math.pi)
-        poly = PolygonModel(kind=kind, radius=radius, angles=angles)
+        poly = PolygonModel(kind=kind, radius=SWEEP_RADIUS, angles=angles)
         rec = catalog.evaluate_exact(entry, poly, alpha, k)
         if rec.slack < -rtol * max(1.0, abs(rec.lhs), abs(rec.rhs)):
             confirmed += 1
@@ -141,7 +144,6 @@ def certification_grid(
     k_set=(2, 3),
     samples: int = 10_000,
     seed=7,
-    margin: float = 1e-4,
     include_probe: bool = True,
 ) -> tuple[list[dict], int]:
     """Schur certification over the stock grid; returns (rows, mismatches).
@@ -157,9 +159,8 @@ def certification_grid(
         for a in alpha_set:
             for name in CONVEX_SIDE_FAMILIES:
                 F = schur_certifier.power_gap_function(family(name), n, a)
-                verdict = schur_certifier.certify(
-                    F, math.pi, samples, seed=base + [0, n, a, 0], margin=margin
-                )
+                verdict = schur_certifier.certify(F, math.pi, samples,
+                                                  seed=base + [0, n, a, 0])
                 match = verdict.classification == schur_certifier.Classification.SCHUR_CONVEX
                 mismatches += 0 if match else 1
                 rows.append(_certify_row("power_gap", name, n, a, None,
@@ -167,9 +168,8 @@ def certification_grid(
             for kk in k_set:
                 for name in CONCAVE_SIDE_FAMILIES:
                     F = schur_certifier.power_gap_reverse_function(family(name), n, a, kk)
-                    verdict = schur_certifier.certify(
-                        F, math.pi, samples, seed=base + [1, n, a, kk], margin=margin
-                    )
+                    verdict = schur_certifier.certify(F, math.pi, samples,
+                                                      seed=base + [1, n, a, kk])
                     match = (verdict.classification
                              == schur_certifier.Classification.SCHUR_CONCAVE)
                     mismatches += 0 if match else 1
@@ -177,8 +177,7 @@ def certification_grid(
                                              "schur_concave", verdict, match))
     if include_probe:
         probe = schur_certifier.linear_function(4)
-        verdict = schur_certifier.certify(probe, math.pi, min(samples, 1000),
-                                          seed=base + [2], margin=margin)
+        verdict = schur_certifier.certify(probe, math.pi, min(samples, 1000), seed=base + [2])
         rows.append(_certify_row("probe", "linear", 4, None, None,
                                  "indeterminate", verdict,
                                  verdict.classification
@@ -215,19 +214,16 @@ def search_sweep(
     grid_resolution: int = 100,
     grid_n_max: int = 4,
     margin: float = DEFAULT_MARGIN,
-    slack_tol: float = 1e-8,
-    distance_tol: float = 1e-3,
-    miss_tol: float = 1e-6,
 ) -> tuple[list[dict], int]:
     """Minimize every entry's slack; cross-check small n against the grid.
 
-    An anomaly is a certified negative best slack, an equality point away
-    from the regular polygon, or a best slack still above ``miss_tol``
-    (the optimizer failed to reach the known zero minimum). The
-    tolerances are relative: each is multiplied by the term scale (at
-    least 1) of the judged point, the best point of the descent or the
-    grid argmin, so float cancellation among large terms is not an
-    anomaly. Returns (rows, anomalies).
+    An anomaly is a best slack below -SLACK_RTOL, one within SLACK_RTOL of
+    zero at more than DISTANCE_TOL from the regular polygon, or one still
+    above MISS_RTOL (the optimizer failed to reach the known zero
+    minimum). The slack tolerances are relative: each is multiplied by
+    the term scale (at least 1) of the judged point, the best point of the
+    descent or the grid argmin, so float cancellation among large terms is
+    not an anomaly. Returns (rows, anomalies).
     """
     rows: list[dict] = []
     anomalies = 0
@@ -259,10 +255,10 @@ def search_sweep(
                     "starts": int(res.starts),
                 }
                 scale = _term_scale(entry, kind, res.best_angles, a, kk)
-                bad = (res.best_slack < -slack_tol * scale
-                       or res.best_slack > miss_tol * scale
-                       or (abs(res.best_slack) <= slack_tol * scale
-                           and res.distance_to_regular > distance_tol))
+                bad = (res.best_slack < -SLACK_RTOL * scale
+                       or res.best_slack > MISS_RTOL * scale
+                       or (abs(res.best_slack) <= SLACK_RTOL * scale
+                           and res.distance_to_regular > DISTANCE_TOL))
                 if n <= grid_n_max:
                     scan = extremal_search.grid_scan(
                         entry, n, alpha=a, k=kk,
@@ -275,7 +271,7 @@ def search_sweep(
                             1.0, abs(scan.grid_min_slack))
                     )
                     grid_scale = _term_scale(entry, kind, scan.grid_argmin, a, kk)
-                    bad = bad or scan.grid_min_slack < -slack_tol * grid_scale
+                    bad = bad or scan.grid_min_slack < -SLACK_RTOL * grid_scale
                 row["anomaly"] = bool(bad)
                 anomalies += int(bad)
                 rows.append(row)
@@ -283,6 +279,6 @@ def search_sweep(
 
 
 def _term_scale(entry, kind, angles: AngleVector, alpha, k) -> float:
-    """max(1, every |term|) of an entry at the unit-radius polygon ``angles``."""
-    poly = PolygonModel(kind=kind, radius=1.0, angles=angles)
+    """max(1, every |term|) of an entry at the polygon ``angles``, R = 1."""
+    poly = PolygonModel(kind=kind, radius=SWEEP_RADIUS, angles=angles)
     return max(1.0, catalog.evaluate(entry, poly, alpha, k).scale)

@@ -105,10 +105,6 @@ class TestBuiltinFamilies:
     def test_tan_has_no_mu(self):
         assert family("tan").mu is None
 
-    def test_shifted_cosh_shift_below_bound_rejected(self):
-        with pytest.raises(errors.ParamOutOfDomain):
-            builtin_families(bound=1.0, cosh_shift=0.5)
-
 
 def jensen_gap(fam, av):
     """sum f(theta_i) - n f(sigma): >= 0 for convex f, <= 0 for concave f."""

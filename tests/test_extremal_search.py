@@ -62,6 +62,17 @@ class TestMinimizeSlack:
             minimize_slack("T53", 3, kind=PolygonKind.TANGENTIAL)
 
 
+@pytest.mark.parametrize("search", [
+    lambda: minimize_slack("T53", 3, starts=2, kind=PolygonKind.TANGENTIAL),
+    lambda: grid_scan("T53", 3, resolution=60, kind=PolygonKind.TANGENTIAL),
+    lambda: falsify("T53", 3, budget_evals=100, kind=PolygonKind.TANGENTIAL),
+], ids=["minimize_slack", "grid_scan", "falsify"])
+def test_search_on_wrong_kind_is_kind_mismatch(search):
+    """The searches refuse a cyclic-only entry as the catalog evaluators do."""
+    with pytest.raises(errors.KindMismatch):
+        search()
+
+
 class TestGridScan:
     def test_basic_triangle_res400(self):
         res = grid_scan("BASIC", 3, resolution=400, kind=PolygonKind.TANGENTIAL)
@@ -297,7 +308,7 @@ def _lockstep_case(entry_id, kind, n):
     """The objective of a catalog case and six seeded starts for it."""
     entry = get_entry(entry_id)
     alpha, k = entry.params.validate(None, None)
-    fn = extremal_search._objective(entry, kind, n, 1.0, alpha, k, DEFAULT_MARGIN)
+    fn = extremal_search._objective(entry, kind, n, alpha, k, DEFAULT_MARGIN)
     return fn, [extremal_search._start_point(11, i, n, DEFAULT_MARGIN) for i in range(6)]
 
 
@@ -418,7 +429,7 @@ class TestLockstepWidth:
             if (start, max_iter) not in references:
                 x0 = extremal_search._start_point(4, start, n, DEFAULT_MARGIN)
                 z, f, it, converged, evals, _ = _one_simplex_descent(
-                    _one_row(fn), x0, 1e-10, max_iter)
+                    _one_row(fn), x0, extremal_search.DESCENT_XTOL, max_iter)
                 references[start, max_iter] = z.tolist(), f, it, converged, evals
             return references[start, max_iter]
 
@@ -453,7 +464,7 @@ class TestLockstepWidth:
             assert not pool._pending
             for d in pool.finished:
                 assert ((d.z.tolist(), d.f, d.iterations, d.converged, d.evals)
-                        == reference(pool.fn, d.start, 4000))
+                        == reference(pool.fn, d.start, extremal_search.DESCENT_MAX_ITER))
             for start, iters, evals in zip(pool.starts, pool.iters, pool.evals):
                 assert reference(pool.fn, int(start), int(iters))[4] == evals
             assert pool.spent == (sum(d.evals for d in pool.finished)
@@ -465,3 +476,22 @@ class TestLockstepWidth:
         one = run(1)
         assert width > 1 and run(width) == one and run(widest) == one
         assert (one[0] is None) == (not entry.id.endswith("FLIPPED"))
+
+
+@pytest.mark.parametrize("search", [
+    lambda: minimize_slack("BASIC", 3, starts=2, seed=1),
+    lambda: falsify("BASIC", 3, budget_evals=200, seed=1),
+], ids=["minimize_slack", "falsify"])
+def test_descents_stop_on_the_descent_constants(search, monkeypatch):
+    """Both descents build their pools with one tolerance and iteration cap."""
+    built = []
+
+    class Recorded(extremal_search._Lanes):
+        def __init__(self, fn, dim, xtol, max_iter):
+            super().__init__(fn, dim, xtol, max_iter)
+            built.append((xtol, max_iter))
+
+    monkeypatch.setattr(extremal_search, "_Lanes", Recorded)
+    search()
+    assert built and set(built) == {(extremal_search.DESCENT_XTOL,
+                                     extremal_search.DESCENT_MAX_ITER)}
