@@ -22,7 +22,9 @@ formats it writes; each reads ``format`` and ``out`` too, writing to
 ``out`` or, for ``catalog`` and ``report``, to stdout when it is unset.
 A subcommand takes a flag for each key it reads and refuses the others.
 A config-file key it does not read is ignored, so the report records its
-default. ``search`` runs one alpha and one k per entry and refuses more.
+default; so is a config-file ``format`` only another subcommand writes,
+so one config file serves all five. ``search`` runs one alpha and one k
+per entry and refuses more.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ def _resolve_config(args) -> dict:
     for key in (*command.keys, "format", "out"):
         flag = getattr(args, key, None)
         cfg[key] = flag if flag is not None else file_cfg.get(key, cfg[key])
-    if cfg["format"] not in command.formats:
-        raise UsageError(f"config key 'format': {args.command} writes "
-                         f"{' or '.join(command.formats)}, got {cfg['format']!r}")
+    if cfg["format"] not in command.formats:  # from the file: flags take only these
+        if not any(cfg["format"] in other.formats for other in _SUBCOMMANDS.values()):
+            raise UsageError(f"config key 'format': no subcommand writes {cfg['format']!r}")
+        cfg["format"] = command.formats[0]
     _validate(cfg)
     return cfg
 

@@ -1,4 +1,4 @@
-"""High-precision (mpmath) evaluation backend.
+"""High-precision (mpmath) evaluation backend, at one precision of 50 digits.
 
 Used to adjudicate near-equality cases and to re-certify candidate
 counterexamples before they are believed: the catalog slack formulas are
@@ -13,55 +13,48 @@ import functools
 import mpmath as mp
 from mpmath import libmp
 
-from .errors import DomainViolation
 from .polygon_core import EvalContext, PolygonKind, RegularPart, regular_part
 
-#: Default working precision (decimal digits) for exact re-evaluation.
-DEFAULT_DPS = 50
-
-MIN_DPS = 30
+#: Working precision (decimal digits) of every exact re-evaluation.
+DPS = 50
 
 #: The mp context's rounding mode, to nearest.
 _ROUND = libmp.round_nearest
 
 
-def measure_exact(kind: PolygonKind, radius, angles, dps: int = DEFAULT_DPS) -> EvalContext:
-    """Closed-form polygon measurement with mpf arithmetic.
+def measure_exact(kind: PolygonKind, radius, angles) -> EvalContext:
+    """Closed-form polygon measurement with mpf arithmetic at DPS digits.
 
     The same closed forms as the float backend, with the per-row sums taken
-    as ``mp.fsum`` takes them at ``dps`` digits. ``angles`` is a sequence
-    of reals summing to pi; floats convert to mpf exactly, other reals
-    round to ``dps`` digits. The trig values, products and sums run on
-    mpmath's raw mpf tuples (``mpmath.libmp``), the calls ``mp.tan``,
-    ``mp.cos_sin`` and ``mp.fsum`` make inside, so the results are theirs
-    bit for bit without an mpf object per term. The regular polygon's part
-    of the context comes from :func:`_regular_part`. Formulas evaluated on
-    the result keep full precision only inside an ``mp.workdps(dps)`` block
-    of their own.
+    as ``mp.fsum`` takes them. ``angles`` is a sequence of floats summing
+    to pi, each converted to mpf exactly. The trig values, products and
+    sums run on mpmath's raw mpf tuples (``mpmath.libmp``), the calls
+    ``mp.tan``, ``mp.cos_sin`` and ``mp.fsum`` make inside, so the results
+    are theirs bit for bit without an mpf object per term. The regular
+    polygon's part of the context comes from :func:`_regular_part`.
+    Formulas evaluated on the result keep full precision only inside an
+    ``mp.workdps(DPS)`` block of their own.
     """
-    if dps < MIN_DPS:
-        raise DomainViolation(f"high-precision mode needs dps >= {MIN_DPS}, got {dps}")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         prec = mp.mp.prec
 
         def fsum(terms):
             return mp.mp.make_mpf(libmp.mpf_sum(terms, prec, _ROUND))
 
-        th = [libmp.from_float(t) if isinstance(t, float) else mp.mpf(t)._mpf_
-              for t in angles]
+        th = [libmp.from_float(t) for t in angles]
         if kind == PolygonKind.TANGENTIAL:
             sum_L = sum_A = fsum([libmp.mpf_tan(t, prec, _ROUND) for t in th])
         else:
             cos_sin = [libmp.mpf_cos_sin(t, prec, _ROUND) for t in th]
             sum_L = fsum([s for _, s in cos_sin])
             sum_A = fsum([libmp.mpf_mul(s, c, prec, _ROUND) for c, s in cos_sin])
-        return _regular_part(kind, len(th), radius, dps).context(sum_L, sum_A)
+        return _regular_part(kind, len(th), radius).context(sum_L, sum_A)
 
 
 @functools.lru_cache(maxsize=256)
-def _regular_part(kind: PolygonKind, n: int, radius, dps: int) -> RegularPart:
-    """L*, A*, d_n and the trig values of pi/n at ``dps`` digits, per
-    (kind, n, radius, dps); shared, as mpf values are immutable."""
-    with mp.workdps(dps):
+def _regular_part(kind: PolygonKind, n: int, radius) -> RegularPart:
+    """L*, A*, d_n and the trig values of pi/n at DPS digits, per
+    (kind, n, radius); shared, as mpf values are immutable."""
+    with mp.workdps(DPS):
         pin = mp.pi / n
         return regular_part(kind, n, mp.mpf(radius), mp.tan(pin), mp.sin(pin), mp.cos(pin))

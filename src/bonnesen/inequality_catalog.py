@@ -27,7 +27,7 @@ from . import highprec
 from .analytic_inequalities import Direction
 from .errors import KindMismatch, NonFiniteValue, ParamOutOfDomain, UnknownId
 from .polygon_core import EvalContext, PolygonKind, PolygonModel, measure_arrays
-from .records import EQUALITY_RTOL, SlackRecord, scale_tolerance
+from .records import EQUALITY_RTOL, SlackRecord
 
 log = logging.getLogger(__name__)
 
@@ -415,19 +415,17 @@ def evaluate_exact(
     polygon: PolygonModel,
     alpha: int | None = None,
     k: int | None = None,
-    dps: int = highprec.DEFAULT_DPS,
 ) -> SlackRecord:
     """Slack recomputed in high precision; adjudicates near-equality cases.
 
-    Measurement and formula both run at ``dps`` digits, and the returned
-    fields are correctly rounded floats of the mpf results, so cancellation
-    in the lhs/rhs differences no longer limits accuracy.
+    Measurement and formula both run at 50 digits (``highprec.DPS``), and
+    the returned fields are correctly rounded floats of the mpf results, so
+    cancellation in the lhs/rhs differences no longer limits accuracy.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, polygon.kind, alpha, k)
-    with mp.workdps(dps):
-        ctx = highprec.measure_exact(polygon.kind, polygon.radius,
-                                     polygon.angles.values, dps=dps)
+    with mp.workdps(highprec.DPS):
+        ctx = highprec.measure_exact(polygon.kind, polygon.radius, polygon.angles.values)
         return _record(entry, polygon, a, kk, *_evaluate_sides(entry, ctx, a, kk, max))
 
 
@@ -436,7 +434,7 @@ def _record(entry: CatalogEntry, polygon: PolygonModel, alpha, k,
     lhs, rhs, slack = float(lhs), float(rhs), float(slack)
     return SlackRecord(
         lhs=lhs, rhs=rhs, slack=slack,
-        equality=abs(slack) <= scale_tolerance(lhs, rhs, EQUALITY_RTOL),
+        equality=abs(slack) <= EQUALITY_RTOL * max(1.0, abs(lhs), abs(rhs)),
         scale=float(scale), alpha=alpha, k=k, entry_id=entry.id,
         n=polygon.angles.n, radius=polygon.radius,
         angle_hash=polygon.angles.angle_hash(),

@@ -243,8 +243,8 @@ class RegularPart:
 
     Built by :func:`regular_part`; :meth:`context` completes it with a
     batch's sums. Both backends build it once and reuse it: the float one
-    per (kind, n, R) (:func:`float_regular_part`), the mpmath one per
-    (kind, n, R, dps) (``highprec._regular_part``).
+    per (kind, n, R) (:func:`float_regular_part`), the 50-digit mpmath one
+    also per (kind, n, R) (``highprec._regular_part``).
     """
 
     R: object

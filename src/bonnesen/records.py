@@ -11,11 +11,6 @@ EQUALITY_RTOL = 1e-10
 VIOLATION_RTOL = 1e-10
 
 
-def scale_tolerance(lhs: float, rhs: float, rtol: float = EQUALITY_RTOL) -> float:
-    """Scale-aware tolerance rtol * max(1, |lhs|, |rhs|)."""
-    return rtol * max(1.0, abs(lhs), abs(rhs))
-
-
 @dataclass(frozen=True)
 class SlackRecord:
     """One inequality evaluation.
@@ -38,7 +33,3 @@ class SlackRecord:
     n: int | None = None
     radius: float | None = None
     angle_hash: str | None = None
-
-    @property
-    def violated(self) -> bool:
-        return self.slack < -scale_tolerance(self.lhs, self.rhs, VIOLATION_RTOL)

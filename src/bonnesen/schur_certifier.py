@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic_inequalities import FunctionFamily
-from .errors import DomainViolation
+from .errors import DomainViolation, NonFiniteValue
 from .polygon_core import GEOMETRIC_BOUND, sample_simplex_batch
 
 #: Noise floor = this factor times the sampled condition-value scale.
@@ -63,10 +63,6 @@ def partial_values(F: SymmetricFunction, indices, points) -> list[np.ndarray]:
     pts, single = _as_batch(points)
     out = [np.asarray(d, dtype=float) for d in F.partial(indices, pts)]
     return [d[0] for d in out] if single else out
-
-
-def partial_value(F: SymmetricFunction, i: int, points) -> np.ndarray:
-    return partial_values(F, (i,), points)[0]
 
 
 class Classification(str, Enum):
@@ -119,16 +115,21 @@ def certify(
       * everything inside the floor    -> INDETERMINATE
 
     floor = NOISE_FLOOR_FACTOR * max |x1 - x2| * max(|dF/dx1|, |dF/dx2|)
-    over the sample, which keeps the test scale-aware.
+    over the sample, which keeps the test scale-aware. A condition value
+    or floor that leaves the float range raises NonFiniteValue.
     """
     if samples < 1:
         raise DomainViolation(f"samples must be >= 1, got {samples}")
     lo, hi = F.domain
     pts = sample_simplex_batch(F.arity, total, CERTIFY_MARGIN, samples, seed, bound=hi)
-    d1, d2 = partial_values(F, (0, 1), pts)
-    diff = pts[:, 0] - pts[:, 1]
-    values = diff * (d1 - d2)
-    scale = float((np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
+    # Overflow is reported below as NonFiniteValue, not as numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = partial_values(F, (0, 1), pts)
+        diff = pts[:, 0] - pts[:, 1]
+        values = diff * (d1 - d2)
+        scale = float((np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
+    if not (np.isfinite(scale) and np.isfinite(values).all()):
+        raise NonFiniteValue(f"{F.name}: the Schur condition values leave the float range")
     floor = NOISE_FLOOR_FACTOR * scale
     pos = values > floor
     neg = values < -floor
@@ -188,6 +189,14 @@ def _gap_function(fam: FunctionFamily, n: int, value: Callable,
                              partial=partial, name=name)
 
 
+def _coefficient(n: int, exponent: int, name: str) -> float:
+    try:
+        return float(n) ** exponent
+    except OverflowError:
+        raise NonFiniteValue(f"{name}: the coefficient {n}^{exponent} "
+                             "overflows the float range") from None
+
+
 def power_gap_function(fam: FunctionFamily, n: int, alpha: int) -> SymmetricFunction:
     """Gap function of the lower-bound inequality; strictly Schur-convex.
 
@@ -197,13 +206,14 @@ def power_gap_function(fam: FunctionFamily, n: int, alpha: int) -> SymmetricFunc
     barycenter and its nonnegativity is the lower-bound inequality.
     """
     a = int(alpha)
-    na = float(n) ** a
+    name = f"power_gap[{fam.name}, alpha={a}, n={n}]"
+    na = _coefficient(n, a, name)
     return _gap_function(
         fam, n,
         lambda P, s: P ** (2 * a) - (na + 1.0) * s**a * P**a + na * s ** (2 * a),
         lambda P, s: (2 * a * P ** (2 * a - 1) - a * (na + 1.0) * s**a * P ** (a - 1),
                       -a * (na + 1.0) * s ** (a - 1) * P**a + 2 * a * na * s ** (2 * a - 1)),
-        f"power_gap[{fam.name}, alpha={a}, n={n}]",
+        name,
     )
 
 
@@ -218,15 +228,16 @@ def power_gap_reverse_function(
     """
     a = int(alpha)
     kk = int(k)
-    na = float(n) ** a
-    nka = float(n) ** (kk * a)
+    name = f"power_gap_reverse[{fam.name}, alpha={a}, k={kk}, n={n}]"
+    na = _coefficient(n, a, name)
+    nka = _coefficient(n, kk * a, name)
     return _gap_function(
         fam, n,
         lambda P, s: P ** (2 * a) - na * s**a * P**a - P ** (kk * a) + nka * s ** (kk * a),
         lambda P, s: (2 * a * P ** (2 * a - 1) - a * na * s**a * P ** (a - 1)
                       - kk * a * P ** (kk * a - 1),
                       -a * na * s ** (a - 1) * P**a + kk * a * nka * s ** (kk * a - 1)),
-        f"power_gap_reverse[{fam.name}, alpha={a}, k={kk}, n={n}]",
+        name,
     )
 
 

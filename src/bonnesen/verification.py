@@ -7,8 +7,8 @@ Three sweeps, one per verification mode:
   * certification_grid: Schur classification of the two proof-side gap
     functions over a (family, n, alpha, k) grid, compared against the
     class each is expected to have.
-  * search_sweep: slack minimization per entry with optional brute-force
-    grid cross-checks for small n.
+  * search_sweep: slack minimization per entry with brute-force grid
+    cross-checks for n <= GRID_N_MAX.
 
 Each driver returns plain-dict rows ready for JSON or CSV serialization
 plus an anomaly count that maps directly to the process exit code.
@@ -31,6 +31,8 @@ _KIND_INDEX = {PolygonKind.TANGENTIAL: 0, PolygonKind.CYCLIC: 1}
 #: search_sweep's anomaly thresholds: two slack tolerances relative to the
 #: term scale, and a distance from the regular polygon in radians.
 SLACK_RTOL, MISS_RTOL, DISTANCE_TOL = 1e-8, 1e-6, 1e-3
+#: search_sweep cross-checks each descent against grid_scan up to this n.
+GRID_N_MAX = 4
 
 
 def verify_sweep(
@@ -212,10 +214,9 @@ def search_sweep(
     starts: int = 20,
     kinds=(PolygonKind.TANGENTIAL, PolygonKind.CYCLIC),
     grid_resolution: int = 100,
-    grid_n_max: int = 4,
     margin: float = DEFAULT_MARGIN,
 ) -> tuple[list[dict], int]:
-    """Minimize every entry's slack; cross-check small n against the grid.
+    """Minimize every entry's slack; cross-check n <= GRID_N_MAX against the grid.
 
     An anomaly is a best slack below -SLACK_RTOL, one within SLACK_RTOL of
     zero at more than DISTANCE_TOL from the regular polygon, or one still
@@ -259,7 +260,7 @@ def search_sweep(
                        or res.best_slack > MISS_RTOL * scale
                        or (abs(res.best_slack) <= SLACK_RTOL * scale
                            and res.distance_to_regular > DISTANCE_TOL))
-                if n <= grid_n_max:
+                if n <= GRID_N_MAX:
                     scan = extremal_search.grid_scan(
                         entry, n, alpha=a, k=kk,
                         resolution=grid_resolution, kind=kind, margin=margin,

@@ -54,13 +54,23 @@ class TestCatalogCommand:
         assert len(data["entries"]) == 20
         assert data["entries"][0]["id"] == "BASIC"
 
-    @pytest.mark.parametrize("fmt", ["yaml", "csv", 5])
+    @pytest.mark.parametrize("fmt", ["yaml", 5])
     def test_config_format_it_cannot_write_is_usage_error(self, fmt, tmp_path, capsys):
+        """No subcommand writes it."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"format": fmt}))
         assert run(["catalog", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert "config key 'format'" in captured.err and not captured.out
+
+    def test_config_format_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        """The sweeps write csv and catalog does not: it writes its default, text."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": "csv"}))
+        assert run(["catalog", "--config", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["catalog"]) == 0
+        assert from_file == capsys.readouterr().out
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_config_format_json_or_text(self, fmt, tmp_path, capsys):
@@ -214,6 +224,15 @@ class TestCertifyCommand:
         assert run(["certify", "--n", "3", "--samples", "50", "--kinds", "cyclic"]) == 2
         assert "--kinds" in capsys.readouterr().err
 
+    def test_overflow_prints_only_the_error(self, tmp_path):
+        """No numpy warnings, and no mismatches counted from overflowed values."""
+        out = tmp_path / "cert.json"
+        proc = run_module("certify", "--n", "3", "--alpha", "60", "--k", "2",
+                          "--samples", "500", "--out", str(out))
+        assert proc.returncode == 2 and not out.exists()
+        assert proc.stderr.splitlines() == ["error: power_gap[tan, alpha=60, n=3]: "
+                                            "the Schur condition values leave the float range"]
+
 
 class TestSearchCommand:
     def test_zero_starts_usage_error(self, capsys):
@@ -305,8 +324,8 @@ class TestSearchCommand:
             return replace(res, best_slack=relative * scale)
 
         monkeypatch.setattr(extremal_search, "minimize_slack", patched)
-        rows, anomalies = verification.search_sweep(
-            n_set=(3,), alpha=1, k=9, starts=2, grid_n_max=0)
+        monkeypatch.setattr(verification, "GRID_N_MAX", 0)
+        rows, anomalies = verification.search_sweep(n_set=(3,), alpha=1, k=9, starts=2)
         assert anomalies == len(rows) and all(r["anomaly"] for r in rows)
 
 
@@ -519,6 +538,20 @@ def test_subcommand_takes_the_flags_of_its_table_entry(name):
     assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[name]
     positionals = [action.dest for action in parser._actions if not action.option_strings]
     assert positionals == (["path"] if name == "report" else [])
+
+
+@pytest.mark.parametrize("power", [["--alpha", "400"], ["--k", "400"]],
+                         ids=["alpha", "k"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--samples", "100"],
+    ["certify", "--samples", "100"],
+    ["search", "--starts", "1", "--kinds", "tangential"],
+], ids=lambda argv: argv[0])
+def test_power_out_of_float_range_exits_2_with_one_error_line(command, power):
+    proc = run_module(*command, "--n", "3", *power)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestDeterminismHashHelper:

@@ -140,8 +140,8 @@ def test_grid_scan_sums_sorted_rows(entry_id):
         entry, 3, PolygonKind.CYCLIC, *entry.params.validate(None, None), 100)
 
 
-def _measure_exact_reference(kind, radius, angles, dps):
-    with mp.workdps(dps):
+def _measure_exact_reference(kind, radius, angles):
+    with mp.workdps(highprec.DPS):
         th = [mp.mpf(v) for v in angles]
         n = len(th)
         if kind == PolygonKind.TANGENTIAL:
@@ -156,11 +156,13 @@ def _measure_exact_reference(kind, radius, angles, dps):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("dps", [30, 50, 80])
-def test_measure_exact_matches_separate_trig_calls(kind, dps):
-    rng = np.random.default_rng(dps)
+@pytest.mark.parametrize("ambient_dps", [30, 50, 80])
+def test_measure_exact_matches_separate_trig_calls(kind, ambient_dps):
+    """The 50-digit result, whatever precision the caller's mp context holds."""
+    rng = np.random.default_rng(ambient_dps)
     for n in (3, 4, 7, 12, 40):
         for _ in range(25):
             angles = rng.dirichlet(np.ones(n)) * math.pi
-            ctx = highprec.measure_exact(kind, 1.7, angles, dps=dps)
-            assert ctx == _measure_exact_reference(kind, 1.7, angles, dps)
+            with mp.workdps(ambient_dps):
+                ctx = highprec.measure_exact(kind, 1.7, angles)
+            assert ctx == _measure_exact_reference(kind, 1.7, angles)

@@ -16,7 +16,7 @@ from bonnesen import (
     power_gap_reverse_function,
     sample_simplex_batch,
 )
-from bonnesen.schur_certifier import partial_value
+from bonnesen.schur_certifier import partial_values
 
 PI = math.pi
 PROBE = np.array([0.4 * PI, 0.3 * PI, 0.3 * PI])
@@ -37,7 +37,8 @@ def central_difference(F, i, pts, h=FD_STEP):
 
 def condition(F, x, i=0, j=1):
     """The Schur condition (x_i - x_j) (dF/dx_i - dF/dx_j) at one point."""
-    return float((x[i] - x[j]) * (partial_value(F, i, x) - partial_value(F, j, x)))
+    d_i, d_j = partial_values(F, (i, j), x)
+    return float((x[i] - x[j]) * (d_i - d_j))
 
 
 class TestConditionValue:
@@ -83,7 +84,7 @@ class TestPartials:
             F = power_gap_reverse_function(fam, n, alpha, k)
         pts = sample_simplex_batch(n, PI, 1e-3, 100, seed=[19, n, alpha])
         for i in (0, 1):
-            exact = partial_value(F, i, pts)
+            exact = partial_values(F, (i,), pts)[0]
             fd = central_difference(F, i, pts)
             assert np.abs(exact - fd).max() <= 1e-5 * np.abs(exact).max()
 
@@ -129,6 +130,26 @@ class TestCertify:
     def test_zero_samples_rejected(self):
         with pytest.raises(errors.DomainViolation):
             certify(linear_function(3), PI, samples=0, seed=1)
+
+    @pytest.mark.parametrize("alpha, k", [(400, None), (1, 400), (60, 2)])
+    def test_overflowing_condition_values_are_named(self, alpha, k):
+        fam = family("tan")
+        F = (power_gap_function(fam, 3, alpha) if k is None
+             else power_gap_reverse_function(fam, 3, alpha, k))
+        with pytest.raises(errors.NonFiniteValue, match=r"\[tan, alpha=.*n=3\]: the Schur"):
+            certify(F, PI, samples=500, seed=1)
+
+    @pytest.mark.parametrize("n, alpha, k", [(8, 400, None), (3, 400, 2), (3, 1, 800)])
+    def test_overflowing_coefficient_is_named(self, n, alpha, k):
+        fam = family("csc")
+        with pytest.raises(errors.NonFiniteValue) as exc:
+            if k is None:
+                power_gap_function(fam, n, alpha)
+            else:
+                power_gap_reverse_function(fam, n, alpha, k)
+        name = (f"power_gap[csc, alpha={alpha}, n={n}]" if k is None
+                else f"power_gap_reverse[csc, alpha={alpha}, k={k}, n={n}]")
+        assert str(exc.value).startswith(name + ": the coefficient")
 
     @pytest.mark.parametrize("name,total", [("csc", PI), ("square", 1.0)])
     @pytest.mark.parametrize("alpha", [1, 2, 3])

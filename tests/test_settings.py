@@ -2,8 +2,8 @@
 
 Each public callable below takes only the arguments some caller varies;
 a value no caller varies (the radius R = 1, the descent tolerance and
-iteration cap, the certify margin, the search anomaly thresholds) is a
-module constant. The searches take every argument after ``n`` by
+iteration cap, the certify margin, the search anomaly thresholds and grid
+cut-off, the 50-digit precision) is a module constant. The searches take every argument after ``n`` by
 keyword, so that no old positional call binds to the wrong slot.
 """
 
@@ -11,8 +11,9 @@ import inspect
 
 import pytest
 
-from bonnesen import (builtin_families, certify, falsify, family, grid_scan,
-                      linear_function, minimize_slack, reporting, verification)
+from bonnesen import (builtin_families, certify, evaluate_exact, falsify, family,
+                      grid_scan, highprec, linear_function, minimize_slack, reporting,
+                      verification)
 
 #: Parameter names of each callable, "*" where the keyword-only ones begin.
 PARAMETERS = {
@@ -27,7 +28,10 @@ PARAMETERS = {
                                       "include_probe"],
     certify: ["F", "total", "samples", "seed"],
     verification.search_sweep: ["n_set", "alpha", "k", "seed", "starts", "kinds",
-                                "grid_resolution", "grid_n_max", "margin"],
+                                "grid_resolution", "margin"],
+    # One precision, 50 digits: neither takes a dps.
+    evaluate_exact: ["entry_or_id", "polygon", "alpha", "k"],
+    highprec.measure_exact: ["kind", "radius", "angles"],
     linear_function: ["n"],
     builtin_families: [],
     family: ["name"],

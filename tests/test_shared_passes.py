@@ -1,7 +1,7 @@
 """Work done once per sweep, cell or call, against the paths that repeated it.
 
-certify takes both partials from one pass, measure_exact takes float
-angles and cached regular-polygon constants, determinism_hash serializes
+certify takes both partials from one pass, measure_exact takes cached
+regular-polygon constants, determinism_hash serializes
 once, evaluate_batch no longer builds a term scale, and the sampler ANDs
 its column masks. The old paths are kept here as references, and results
 must match them bit for bit. The call counts the benchmark's tracer reads
@@ -24,7 +24,7 @@ from bonnesen.inequality_catalog import evaluate, evaluate_batch, evaluate_exact
 from bonnesen.polygon_core import (_CHUNK, EvalContext, _check_margin_window,
                                    measure_arrays, sample_simplex_batch)
 from bonnesen.schur_certifier import (NOISE_FLOOR_FACTOR, Classification, SchurVerdict,
-                                      certify, partial_value, partial_values,
+                                      certify, partial_values,
                                       power_gap_function, power_gap_reverse_function)
 
 KINDS = (PolygonKind.TANGENTIAL, PolygonKind.CYCLIC)
@@ -59,10 +59,10 @@ def _partial_reference(fam, n, gradient, i, pts):
 
 
 def _certify_reference(F, total, samples, seed, margin=1e-4):
-    """certify with one partial_value call per coordinate of the pair."""
+    """certify with one partial_values call per coordinate of the pair."""
     pts = sample_simplex_batch(F.arity, total, margin, samples, seed, bound=F.domain[1])
-    d1 = partial_value(F, 0, pts)
-    d2 = partial_value(F, 1, pts)
+    d1 = partial_values(F, (0,), pts)[0]
+    d2 = partial_values(F, (1,), pts)[0]
     diff = pts[:, 0] - pts[:, 1]
     values = diff * (d1 - d2)
     floor = NOISE_FLOOR_FACTOR * float(
@@ -105,7 +105,7 @@ def test_shared_partials_match_two_partial_value_calls(name):
         d1, d2 = partial_values(F, (0, 1), pts)
         gradient = _gradient_reference(n, alpha, k)
         for i, d in ((0, d1), (1, d2)):
-            ref = partial_value(F, i, pts)
+            ref = partial_values(F, (i,), pts)[0]
             assert d.tobytes() == ref.tobytes(), (name, n, alpha, k, i)
             old = _partial_reference(fam, n, gradient, i, pts)
             assert d.tobytes() == old.tobytes(), (name, n, alpha, k, i)
@@ -128,7 +128,7 @@ def test_linear_partials_still_work():
     pts = sample_simplex_batch(4, math.pi, 1e-3, 50, seed=3)
     ones = partial_values(linear, (0, 1), pts)
     assert all((d == 1.0).all() and d.shape == (50,) for d in ones)
-    assert partial_value(linear, 2, pts[0]) == 1.0
+    assert partial_values(linear, (2,), pts[0])[0] == 1.0
 
 
 def test_one_sample_batch_per_certify(monkeypatch):
@@ -149,19 +149,6 @@ def test_one_sample_batch_per_certify(monkeypatch):
 
 # --------------------------------------------------------------- exact path
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("dps", [30, 50])
-def test_measure_exact_from_floats_matches_from_mpf(kind, dps):
-    rng = np.random.default_rng([dps, 3])
-    for n in (3, 5, 8, 12):
-        for _ in range(10):
-            angles = (rng.dirichlet(np.ones(n)) * math.pi).tolist()
-            with mp.workdps(dps):
-                as_mpf = [mp.mpf(v) for v in angles]
-            assert (highprec.measure_exact(kind, 1.3, angles, dps=dps)
-                    == highprec.measure_exact(kind, 1.3, as_mpf, dps=dps))
-
-
 def _context_reference(kind, n, R, sum_L, sum_A, tan_pin, sin_pin, cos_pin):
     """The closed form as one function of the sums, rebuilt for every row."""
     r2 = R * R
@@ -175,11 +162,16 @@ def _context_reference(kind, n, R, sum_L, sum_A, tan_pin, sin_pin, cos_pin):
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("radius", [1.0, 0.3, 2.5])
-@pytest.mark.parametrize("dps", [30, 50, 80])
-def test_cached_regular_constants_match_one_closed_form(kind, radius, dps):
+@pytest.mark.parametrize("ambient_dps", [30, 50, 80])
+def test_cached_regular_constants_match_one_closed_form(kind, radius, ambient_dps):
+    """The 50-digit constants, built and cached whatever the caller's precision."""
+    highprec._regular_part.cache_clear()
     for n in range(3, 13):
-        part = highprec._regular_part(kind, n, radius, dps)
-        with mp.workdps(dps):
+        with mp.workdps(ambient_dps):
+            parts = [highprec._regular_part(kind, n, radius) for _ in range(2)]
+        assert parts[0] is parts[1]
+        part = parts[0]
+        with mp.workdps(highprec.DPS):
             pin = mp.pi / n
             sums = mp.mpf(n) / 3, mp.mpf(n) / 7
             ref = _context_reference(kind, n, mp.mpf(radius), *sums,
@@ -281,7 +273,7 @@ def test_record_scale_matches_term_reference(kind):
                 ctx = measure_arrays(kind, poly.radius, poly.angles.to_array()[None, :])
                 ref = _scale_reference(entry, ctx, a, k, np.maximum)
                 assert evaluate(entry, poly, a, k).scale == float(ref[0]), entry.id
-                with mp.workdps(highprec.DEFAULT_DPS):
+                with mp.workdps(highprec.DPS):
                     exact_ctx = highprec.measure_exact(kind, poly.radius, poly.angles.values)
                     exact_ref = _scale_reference(entry, exact_ctx, a, k, max)
                 assert evaluate_exact(entry, poly, a, k).scale == float(exact_ref), entry.id
@@ -305,11 +297,12 @@ def _hash_reference(doc):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _reports():
+def _reports(monkeypatch):
+    monkeypatch.setattr(verification, "GRID_N_MAX", 0)
     verify_rows, _ = verification.verify_sweep(n_set=(3, 4), samples=50)
     certify_rows, _ = verification.certification_grid(n_set=(3,), alpha_set=(1,),
                                                       k_set=(2,), samples=100)
-    search_rows, _ = verification.search_sweep(n_set=(3,), starts=2, grid_n_max=0,
+    search_rows, _ = verification.search_sweep(n_set=(3,), starts=2,
                                                kinds=(PolygonKind.CYCLIC,))
     config = {"n": (3, 4), "kinds": ("tangential", "cyclic"), "margin": 1e-6,
               "nested": {"pair": (1, 2.5), "none": None}}
@@ -320,8 +313,8 @@ def _reports():
                                        seed=[7, 1], samples=50, precision_mode="standard")
 
 
-def test_determinism_hash_matches_round_trip():
-    for doc in _reports():
+def test_determinism_hash_matches_round_trip(monkeypatch):
+    for doc in _reports(monkeypatch):
         as_dict = doc.to_dict()
         assert doc.determinism_hash == _hash_reference(as_dict)
         assert reporting.determinism_hash(as_dict) == _hash_reference(as_dict)
