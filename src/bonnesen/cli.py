@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple
 
 from . import inequality_catalog as catalog, reporting, verification
 from .errors import BonnesenError, UsageError
+from .extremal_search import MAX_STARTS
 from .polygon_core import PolygonKind
 
 ENV_CONFIG = "BONNESEN_CONFIG"
@@ -65,7 +66,7 @@ CONFIG_SCHEMA = {
         "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
         "precision": {"enum": ["standard", "high"], "default": "standard"},
         "out": {"type": ["string", "null"], "default": None},
-        "starts": {"type": "integer", "minimum": 1, "default": 20},
+        "starts": {"type": "integer", "minimum": 1, "maximum": MAX_STARTS, "default": 20},
         "grid_resolution": {"type": "integer", "minimum": 1, "default": 100},
         "inject_fault": {"type": "boolean", "default": False},
     },

@@ -401,8 +401,11 @@ def minimize_slack(
     when none converges the start count doubles, up to MAX_STARTS starts
     in all. Each descent stops at a simplex diameter below DESCENT_XTOL or
     after DESCENT_MAX_ITER iterations. Deterministic given the seed,
-    independent of any parallelism.
+    independent of any parallelism. ``starts`` outside [1, MAX_STARTS]
+    raises DomainViolation.
     """
+    if not 1 <= starts <= MAX_STARTS:
+        raise DomainViolation(f"starts must be in [1, {MAX_STARTS}], got {starts}")
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
     fn = _objective(entry, kind, n, alpha, k, margin)
     sigma = _TOTAL / n
@@ -411,7 +414,7 @@ def minimize_slack(
     total_iters = 0
     any_converged = False
     used = 0
-    batch = max(1, starts)
+    batch = starts
     while used < MAX_STARTS:
         batch = min(batch, MAX_STARTS - used)
         lanes = _Lanes(fn, n - 1, DESCENT_XTOL, DESCENT_MAX_ITER)
@@ -598,8 +601,11 @@ def falsify(
     returned. None means no counterexample was found within budget, i.e.
     the inequality survived falsification at this budget. When no settled
     descent ends at a finite slack the sides overflow, and NonFiniteValue
-    is raised, as :func:`minimize_slack` raises it.
+    is raised, as :func:`minimize_slack` raises it. A budget below 1
+    raises DomainViolation.
     """
+    if budget_evals < 1:
+        raise DomainViolation(f"budget_evals must be >= 1, got {budget_evals}")
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, DEFAULT_MARGIN)
     fn = _objective(entry, kind, n, alpha, k, DEFAULT_MARGIN)
     upper = GEOMETRIC_BOUND - DEFAULT_MARGIN

@@ -53,8 +53,8 @@ def measure_exact(kind: PolygonKind, radius, angles) -> EvalContext:
 
 @functools.lru_cache(maxsize=256)
 def _regular_part(kind: PolygonKind, n: int, radius) -> RegularPart:
-    """L*, A*, d_n and the trig values of pi/n at DPS digits, per
-    (kind, n, radius); shared, as mpf values are immutable."""
+    """L*, A*, L*/2R, A*/R^2, d_n and the trig values of pi/n at DPS
+    digits, per (kind, n, radius); shared, as mpf values are immutable."""
     with mp.workdps(DPS):
         pin = mp.pi / n
         return regular_part(kind, n, mp.mpf(radius), mp.tan(pin), mp.sin(pin), mp.cos(pin))

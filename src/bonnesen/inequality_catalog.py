@@ -5,9 +5,8 @@ PolygonModel: slack = lhs - rhs for >= entries, rhs - lhs for <= entries,
 so nonnegative slack always means the inequality holds as stated, with
 equality exactly at the regular polygon. Entries carry the polygon kind
 they apply to, their legal (alpha, k) parameter set, a display-style
-citation anchor and the power of R that scales the slack (None when the
-two sides scale differently, which happens for the perimeter-power
-reverse bound with k > 2).
+citation anchor and the signed terms of each side, from which the lhs,
+the rhs and the record's scale all follow.
 
 The catalog is immutable after import; evaluations are pure functions, so
 parallel evaluation is safe. Entry ids and citation strings are part of
@@ -106,12 +105,6 @@ class CatalogEntry:
     params: ParamSpec
     formula: str
     sides: Callable  # (ctx, alpha, k) -> ((factor, terms), (factor, terms))
-    homogeneity_fn: Callable = None  # (alpha, k) -> int | None
-
-    def homogeneity_degree(self, alpha=None, k=None) -> int | None:
-        """Power of R scaling the slack; None when the sides scale apart."""
-        a, kk = self.params.validate(alpha, k)
-        return self.homogeneity_fn(a, kk)
 
     def applies_to(self, kind: PolygonKind) -> bool:
         return kind in self.kinds
@@ -152,98 +145,90 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     entries = [
         CatalogEntry(
             id="BASIC", citation="Eq. 1.2", kinds=BOTH_KINDS, direction=Direction.GE,
-            params=no_params, homogeneity_fn=lambda a, k: 2,
-            formula="L^2 - 4*d_n*A >= 0",
+            params=no_params, formula="L^2 - 4*d_n*A >= 0",
             sides=lambda c, a, k: (_deficit(c, 1), (1, ())),
         ),
         CatalogEntry(
             id="ZHANG97", citation="Eq. 1.4", kinds=CYCLIC_ONLY, direction=Direction.GE,
-            params=no_params, homogeneity_fn=lambda a, k: 2,
-            formula="L^2 - 4*d_n*A >= (L* - L)^2",
+            params=no_params, formula="L^2 - 4*d_n*A >= (L* - L)^2",
             sides=lambda c, a, k: (_deficit(c, 1), (1, ((c.Lstar - c.L) ** 2,))),
         ),
         CatalogEntry(
             id="T31A", citation="Eq. 3.1", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a, homogeneity_fn=lambda a, k: 2 * a,
+            params=free_a,
             formula="L^(2a) - 4^a*(d_n*A)^a >= (2*R*tan(pi/n))^a * (L^a - L*^a)",
             sides=lambda c, a, k: (
                 _deficit(c, a), ((2 * c.R * c.tan_pin) ** a, (c.L**a, -c.Lstar**a))),
         ),
         CatalogEntry(
             id="T31B", citation="Eq. 3.2", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a, homogeneity_fn=lambda a, k: 0,
+            params=free_a,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((L/2R)^a - (L*/2R)^a)",
             sides=lambda c, a, k: (
                 _dimless(c, a), (c.tan_pin**a, (c.L_hat**a, -c.Lstar_hat**a))),
         ),
         CatalogEntry(
             id="C35", citation="Eq. 3.5", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1), homogeneity_fn=lambda a, k: 2,
-            formula="L^2 - 4*d_n*A >= 2*R*tan(pi/n) * (L - L*)",
+            params=fixed(a=1), formula="L^2 - 4*d_n*A >= 2*R*tan(pi/n) * (L - L*)",
             sides=lambda c, a, k: (_deficit(c, 1), (2 * c.R * c.tan_pin, (c.L, -c.Lstar))),
         ),
         CatalogEntry(
             id="C36", citation="Eq. 3.6", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1), homogeneity_fn=lambda a, k: 0,
+            params=fixed(a=1),
             formula="(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (L/2R - L*/2R)",
             sides=lambda c, a, k: (_dimless(c, 1), (c.tan_pin, (c.L_hat, -c.Lstar_hat))),
         ),
         CatalogEntry(
             id="T32A", citation="Eq. 3.7", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a, homogeneity_fn=lambda a, k: 2 * a,
+            params=free_a,
             formula="L^(2a) - 4^a*(d_n*A)^a >= 4^a*tan(pi/n)^a * (A^a - A*^a)",
             sides=lambda c, a, k: (
                 _deficit(c, a), ((4 * c.tan_pin) ** a, (c.A**a, -c.Astar**a))),
         ),
         CatalogEntry(
             id="T32B", citation="Eq. 3.8", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a, homogeneity_fn=lambda a, k: 0,
+            params=free_a,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((A/R^2)^a - (A*/R^2)^a)",
             sides=lambda c, a, k: (
                 _dimless(c, a), (c.tan_pin**a, (c.A_hat**a, -c.Astar_hat**a))),
         ),
         CatalogEntry(
             id="CQX", citation="Eq. qx", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1), homogeneity_fn=lambda a, k: 2,
-            formula="L^2 - 4*d_n*A >= 4*tan(pi/n) * (A - A*)",
+            params=fixed(a=1), formula="L^2 - 4*d_n*A >= 4*tan(pi/n) * (A - A*)",
             sides=lambda c, a, k: (_deficit(c, 1), (4 * c.tan_pin, (c.A, -c.Astar))),
         ),
         CatalogEntry(
             id="CQC", citation="Eq. qc", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1), homogeneity_fn=lambda a, k: 0,
+            params=fixed(a=1),
             formula="(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (A/R^2 - A*/R^2)",
             sides=lambda c, a, k: (_dimless(c, 1), (c.tan_pin, (c.A_hat, -c.Astar_hat))),
         ),
         CatalogEntry(
             id="T41A", citation="Eq. 4.1", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
-            # Sides scale as R^(2a) and R^(ka): only k = 2 is homogeneous.
-            homogeneity_fn=lambda a, k: 2 * a if k == 2 else None,
-            formula="L^(2a) - (4*d_n*A)^a <= L^(ka) - L*^(ka)",
+            params=free_ak, formula="L^(2a) - (4*d_n*A)^a <= L^(ka) - L*^(ka)",
             sides=lambda c, a, k: (_deficit(c, a), (1, (c.L ** (k * a), -c.Lstar ** (k * a)))),
         ),
         CatalogEntry(
             id="T41B", citation="Eq. 4.2", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak, homogeneity_fn=lambda a, k: 0,
+            params=free_ak,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (L/2R)^(ka) - (L*/2R)^(ka)",
             sides=lambda c, a, k: (
                 _dimless(c, a), (1, (c.L_hat ** (k * a), -c.Lstar_hat ** (k * a)))),
         ),
         CatalogEntry(
             id="C4A", citation="Eq. 4.3", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=3), homogeneity_fn=lambda a, k: None,
-            formula="L^2 - 4*d_n*A <= L^3 - L*^3",
+            params=fixed(a=1, k=3), formula="L^2 - 4*d_n*A <= L^3 - L*^3",
             sides=lambda c, a, k: (_deficit(c, 1), (1, (c.L**3, -c.Lstar**3))),
         ),
         CatalogEntry(
             id="C4B", citation="Eq. 4.4", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=2), homogeneity_fn=lambda a, k: 0,
+            params=fixed(a=1, k=2),
             formula="(A/R^2)^2 - d_n*(L/2R) <= (L/2R)^2 - (L*/2R)^2",
             sides=lambda c, a, k: (_dimless(c, 1), (1, (c.L_hat**2, -c.Lstar_hat**2))),
         ),
         CatalogEntry(
             id="T42A", citation="Eq. 4.5", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak, homogeneity_fn=lambda a, k: 2 * a,
+            params=free_ak,
             formula="L^(2a) - 4^a*(d_n*A)^a <= 4^a/R^(2(k-1)a) * (A^(ka) - A*^(ka))",
             # Normalized to R = 1 via A/R^2 and rescaled by R^(2a): avoids the
             # 1/R^(2(k-1)a) division that amplifies roundoff for small R.
@@ -252,35 +237,32 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
         ),
         CatalogEntry(
             id="T42B", citation="Eq. 4.6", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak, homogeneity_fn=lambda a, k: 0,
+            params=free_ak,
             formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (A/R^2)^(ka) - (A*/R^2)^(ka)",
             sides=lambda c, a, k: (
                 _dimless(c, a), (1, (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
         ),
         CatalogEntry(
             id="C42A", citation="Eq. 4.7", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=2), homogeneity_fn=lambda a, k: 2,
-            formula="L^2 - 4*d_n*A <= 4/R^2 * (A^2 - A*^2)",
+            params=fixed(a=1, k=2), formula="L^2 - 4*d_n*A <= 4/R^2 * (A^2 - A*^2)",
             sides=lambda c, a, k: (
                 _deficit(c, 1), (4 * c.R**2, (c.A_hat**2, -c.Astar_hat**2))),
         ),
         CatalogEntry(
             id="C42B", citation="Eq. 4.8", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=3), homogeneity_fn=lambda a, k: 0,
+            params=fixed(a=1, k=3),
             formula="(A/R^2)^2 - d_n*(L/2R) <= (A/R^2)^3 - (A*/R^2)^3",
             sides=lambda c, a, k: (_dimless(c, 1), (1, (c.A_hat**3, -c.Astar_hat**3))),
         ),
         CatalogEntry(
             id="T52", citation="Eq. 5.11", kinds=CYCLIC_ONLY, direction=Direction.LE,
-            params=no_params, homogeneity_fn=lambda a, k: 2,
-            formula="A - L*R*cos(pi/n) + d_n*(R*cos(pi/n))^2 <= 0",
+            params=no_params, formula="A - L*R*cos(pi/n) + d_n*(R*cos(pi/n))^2 <= 0",
             sides=lambda c, a, k: ((1, (
                 c.A, -c.L * c.R * c.cos_pin, c.dn * (c.R * c.cos_pin) ** 2)), (1, ())),
         ),
         CatalogEntry(
             id="T53", citation="Eq. 5.15", kinds=CYCLIC_ONLY, direction=Direction.GE,
-            params=no_params, homogeneity_fn=lambda a, k: 2,
-            formula="L^2 - 4*d_n*A >= (1/R^2)*(A* - A)^2",
+            params=no_params, formula="L^2 - 4*d_n*A >= (1/R^2)*(A* - A)^2",
             sides=lambda c, a, k: (
                 _deficit(c, 1), (1, ((c.Astar_hat - c.A_hat) ** 2 * c.R**2,))),
         ),
@@ -399,15 +381,16 @@ def evaluate(
 ) -> SlackRecord:
     """Slack record for one polygon; see the module docstring for signs.
 
-    The values come from :func:`evaluate_batch` on the polygon's one-row
-    context, and the record's scale from the same sides on that context.
+    One pass of the sides over the polygon's one-row context gives the
+    values and the scale, as in :func:`evaluate_batch` and
+    :func:`evaluate_exact`; a side with no terms is the scalar 0.
     """
     entry = _resolve(entry_or_id)
+    a, kk = _checked_params(entry, polygon.kind, alpha, k)
     ctx = measure_arrays(polygon.kind, polygon.radius, polygon.angles.to_array()[None, :])
-    out = evaluate_batch(entry, polygon.kind, polygon.radius, ctx, alpha, k)
-    scale = _evaluate_sides(entry, ctx, out["alpha"], out["k"], np.maximum)[3]
-    return _record(entry, polygon, out["alpha"], out["k"],
-                   *(out[key][0] for key in ("lhs", "rhs", "slack")), scale[0])
+    values = _evaluate_sides(entry, ctx, a, kk, np.maximum)
+    return _record(entry, polygon, a, kk,
+                   *(v[0] if isinstance(v, np.ndarray) else v for v in values))
 
 
 def evaluate_exact(

@@ -179,24 +179,6 @@ def measure(p: PolygonModel) -> GeometricSummary:
     )
 
 
-class _derived:
-    """An attribute computed on first use and kept in the instance dict.
-
-    What ``functools.cached_property`` does, without the lock it takes on
-    every first use up to Python 3.11, which costs more than a one-row
-    quantity it guards.
-    """
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass
 class EvalContext:
     """Measured quantities the catalog formulas need: float, array or mpf.
@@ -204,42 +186,31 @@ class EvalContext:
     Built by :meth:`RegularPart.context` for every number backend, once
     per batch, so it is a plain dataclass: a frozen one costs more to
     build than a one-row evaluation spends in it. Treat it as read-only.
-    The normalized quantities are computed on first use and kept, as is
-    anything a formula stores in :attr:`memo`, so the entries evaluated on
-    one context share them.
+    ``L_hat`` and ``A_hat`` are the measured sums L/2R and A/R^2 (one
+    object for a tangential polygon); ``Lstar_hat`` and ``Astar_hat`` are
+    L*/2R and A*/R^2. Anything a formula stores in :attr:`memo` is kept,
+    so the entries evaluated on one context share it.
     """
 
     R: object
     L: object
     A: object
+    L_hat: object
+    A_hat: object
     Lstar: object
     Astar: object
+    Lstar_hat: object
+    Astar_hat: object
     dn: object
     tan_pin: object
     cos_pin: object
     #: Terms derived from this context, kept for the entries that share it.
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @_derived
-    def L_hat(self):
-        return self.L / (2 * self.R)
-
-    @_derived
-    def Lstar_hat(self):
-        return self.Lstar / (2 * self.R)
-
-    @_derived
-    def A_hat(self):
-        return self.A / (self.R * self.R)
-
-    @_derived
-    def Astar_hat(self):
-        return self.Astar / (self.R * self.R)
-
 
 @dataclass(frozen=True)
 class RegularPart:
-    """The part of an EvalContext fixed by (kind, n, R): all but L and A.
+    """The part of an EvalContext fixed by (kind, n, R): all but the sums.
 
     Built by :func:`regular_part`; :meth:`context` completes it with a
     batch's sums. Both backends build it once and reuse it: the float one
@@ -252,6 +223,8 @@ class RegularPart:
     r2: object
     Lstar: object
     Astar: object
+    Lstar_hat: object
+    Astar_hat: object
     dn: object
     tan_pin: object
     cos_pin: object
@@ -261,24 +234,27 @@ class RegularPart:
 
         They are the per-row sums with L = 2 R sum_L and A = R^2 sum_A:
         sum tan(theta) for both when tangential, sum sin(theta) and
-        sum sin(theta) cos(theta) when cyclic.
+        sum sin(theta) cos(theta) when cyclic. The context keeps them as
+        ``L_hat`` and ``A_hat``.
         """
-        return EvalContext(self.R, self.two_R * sum_L, self.r2 * sum_A, self.Lstar,
-                           self.Astar, self.dn, self.tan_pin, self.cos_pin)
+        return EvalContext(self.R, self.two_R * sum_L, self.r2 * sum_A, sum_L, sum_A,
+                           self.Lstar, self.Astar, self.Lstar_hat, self.Astar_hat,
+                           self.dn, self.tan_pin, self.cos_pin)
 
 
 def regular_part(kind: PolygonKind, n: int, R, tan_pin, sin_pin, cos_pin) -> RegularPart:
-    """The closed-form regular polygon: L*, A* and d_n from R and pi/n.
+    """The closed-form regular polygon: L*, A*, L*/2R, A*/R^2 and d_n from R and pi/n.
 
     The trig values are those of pi/n. Any backend whose numbers support
     + - * / and ** works.
     """
-    r2 = R * R
+    two_R, r2 = 2 * R, R * R
     if kind == PolygonKind.TANGENTIAL:
         Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
     else:
         Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
-    return RegularPart(R=R, two_R=2 * R, r2=r2, Lstar=Lstar, Astar=Astar,
+    return RegularPart(R=R, two_R=two_R, r2=r2, Lstar=Lstar, Astar=Astar,
+                       Lstar_hat=Lstar / two_R, Astar_hat=Astar / r2,
                        dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin)
 
 

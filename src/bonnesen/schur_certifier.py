@@ -59,10 +59,10 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
 
 
 def partial_values(F: SymmetricFunction, indices, points) -> list[np.ndarray]:
-    """dF/dx_i at ``points`` for each i in ``indices``, from one F.partial call."""
-    pts, single = _as_batch(points)
-    out = [np.asarray(d, dtype=float) for d in F.partial(indices, pts)]
-    return [d[0] for d in out] if single else out
+    """dF/dx_i over the (m, n) batch ``points`` for each i in ``indices``,
+    one (m,) array each, from one F.partial call."""
+    pts = np.asarray(points, dtype=float)
+    return [np.asarray(d, dtype=float) for d in F.partial(indices, pts)]
 
 
 class Classification(str, Enum):

@@ -238,6 +238,14 @@ class TestSearchCommand:
     def test_zero_starts_usage_error(self, capsys):
         assert run(["search", "--starts", "0"]) == 2
 
+    def test_starts_past_the_cap_is_usage_error(self):
+        proc = run_module("search", "--n", "3", "--starts",
+                          str(extremal_search.MAX_STARTS + 1))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: config key 'starts': {extremal_search.MAX_STARTS + 1} "
+            f"is greater than the maximum of {extremal_search.MAX_STARTS}"]
+
     def test_records_the_one_alpha_and_k_it_runs(self, tmp_path, capsys):
         out = tmp_path / "search.json"
         assert run(["search", "--n", "3", "--kinds", "cyclic", "--starts", "1",

@@ -61,6 +61,12 @@ class TestMinimizeSlack:
         with pytest.raises(errors.DomainViolation):
             minimize_slack("T53", 3, kind=PolygonKind.TANGENTIAL)
 
+    @pytest.mark.parametrize("starts", [0, extremal_search.MAX_STARTS + 1])
+    def test_start_count_it_cannot_run_is_refused(self, starts):
+        """Neither silently one start nor silently MAX_STARTS."""
+        with pytest.raises(errors.DomainViolation, match="starts"):
+            minimize_slack("BASIC", 3, starts=starts, seed=0)
+
 
 @pytest.mark.parametrize("search", [
     lambda: minimize_slack("T53", 3, starts=2, kind=PolygonKind.TANGENTIAL),
@@ -230,6 +236,12 @@ class TestFalsify:
         b = falsify(sign_flipped("T52"), 3, budget_evals=5_000, seed=4)
         assert a is not None and b is not None
         assert a.angles.values == b.angles.values
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_a_domain_violation(self, budget):
+        """Not the overflow error of a search that ran no descent."""
+        with pytest.raises(errors.DomainViolation, match="budget_evals"):
+            falsify("BASIC", 3, budget_evals=budget, seed=1)
 
 
 def _one_simplex_descent(fn, x0, xtol, max_iter, branches=None):

@@ -37,8 +37,8 @@ def central_difference(F, i, pts, h=FD_STEP):
 
 def condition(F, x, i=0, j=1):
     """The Schur condition (x_i - x_j) (dF/dx_i - dF/dx_j) at one point."""
-    d_i, d_j = partial_values(F, (i, j), x)
-    return float((x[i] - x[j]) * (d_i - d_j))
+    d_i, d_j = partial_values(F, (i, j), x[None, :])
+    return float((x[i] - x[j]) * (d_i[0] - d_j[0]))
 
 
 class TestConditionValue:

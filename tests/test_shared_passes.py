@@ -8,6 +8,7 @@ must match them bit for bit. The call counts the benchmark's tracer reads
 are checked too.
 """
 
+import dataclasses
 import json
 import hashlib
 import math
@@ -128,7 +129,7 @@ def test_linear_partials_still_work():
     pts = sample_simplex_batch(4, math.pi, 1e-3, 50, seed=3)
     ones = partial_values(linear, (0, 1), pts)
     assert all((d == 1.0).all() and d.shape == (50,) for d in ones)
-    assert partial_values(linear, (2,), pts[0])[0] == 1.0
+    assert partial_values(linear, (2,), pts[0][None, :])[0].tolist() == [1.0]
 
 
 def test_one_sample_batch_per_certify(monkeypatch):
@@ -156,8 +157,19 @@ def _context_reference(kind, n, R, sum_L, sum_A, tan_pin, sin_pin, cos_pin):
         Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
     else:
         Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
-    return EvalContext(R=R, L=2 * R * sum_L, A=r2 * sum_A, Lstar=Lstar, Astar=Astar,
-                       dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin)
+    return EvalContext(R=R, L=2 * R * sum_L, A=r2 * sum_A, L_hat=sum_L, A_hat=sum_A,
+                       Lstar=Lstar, Astar=Astar, Lstar_hat=Lstar / (2 * R),
+                       Astar_hat=Astar / r2, dn=n * tan_pin, tan_pin=tan_pin,
+                       cos_pin=cos_pin)
+
+
+def _round_trip(ctx):
+    """``ctx`` with L_hat, A_hat, Lstar_hat and Astar_hat divided back out
+    of L, A, L* and A*, as the context once derived them."""
+    two_R, r2 = 2 * ctx.R, ctx.R * ctx.R
+    return dataclasses.replace(ctx, L_hat=ctx.L / two_R, A_hat=ctx.A / r2,
+                               Lstar_hat=ctx.Lstar / two_R, Astar_hat=ctx.Astar / r2,
+                               memo={})
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
@@ -176,9 +188,7 @@ def test_cached_regular_constants_match_one_closed_form(kind, radius, ambient_dp
             sums = mp.mpf(n) / 3, mp.mpf(n) / 7
             ref = _context_reference(kind, n, mp.mpf(radius), *sums,
                                      mp.tan(pin), mp.sin(pin), mp.cos(pin))
-            got = part.context(*sums)
-            assert got == ref, (kind, n)
-            assert (got.Lstar_hat, got.Astar_hat) == (ref.Lstar_hat, ref.Astar_hat)
+            assert part.context(*sums) == ref, (kind, n)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
@@ -194,26 +204,86 @@ def test_float_regular_part_matches_one_closed_form(kind):
         ref = _context_reference(kind, n, 1.7, sum_L, sum_A,
                                  math.tan(pin), math.sin(pin), math.cos(pin))
         got = measure_arrays(kind, 1.7, pts)
-        for field in ("R", "Lstar", "Astar", "dn", "tan_pin", "cos_pin"):
+        for field in ("R", "Lstar", "Astar", "Lstar_hat", "Astar_hat", "dn", "tan_pin",
+                      "cos_pin"):
             assert getattr(got, field) == getattr(ref, field) and \
                 type(getattr(got, field)) is type(getattr(ref, field)), (n, field)
-        assert got.L.tobytes() == ref.L.tobytes() and got.A.tobytes() == ref.A.tobytes()
+        for field in ("L", "A", "L_hat", "A_hat"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), (n, field)
 
 
 def test_context_keeps_its_derived_values_and_memo():
-    """Normalized values are computed on first use and kept; every
-    context has its own memo."""
+    """L_hat and A_hat are the measured sums themselves, one object when
+    tangential; every context has its own memo."""
     pts = np.random.default_rng(5).dirichlet(np.ones(4), size=6) * math.pi
     a, b = (measure_arrays(PolygonKind.CYCLIC, 1.3, pts) for _ in range(2))
-    for name, value in (("L_hat", a.L / (2 * a.R)), ("A_hat", a.A / (a.R * a.R)),
-                        ("Lstar_hat", a.Lstar / (2 * a.R)),
-                        ("Astar_hat", a.Astar / (a.R * a.R))):
-        assert name not in vars(a)
-        first = getattr(a, name)
-        assert getattr(a, name) is first and vars(a)[name] is first
-        assert np.array_equal(first, value)
+    sum_L, sum_A = np.sin(pts).sum(axis=1), (np.sin(pts) * np.cos(pts)).sum(axis=1)
+    assert a.L_hat.tobytes() == sum_L.tobytes() and a.A_hat.tobytes() == sum_A.tobytes()
+    tan = measure_arrays(PolygonKind.TANGENTIAL, 1.3, pts)
+    assert tan.L_hat is tan.A_hat
+    assert tan.L_hat.tobytes() == np.tan(pts).sum(axis=1).tobytes()
     a.memo["key"] = 1
     assert b.memo == {} and a.memo is not b.memo
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_normalized_values_are_exact_at_unit_radius(kind):
+    """At R = 1, where every sweep and search runs, the kept sums equal
+    L/2R and A/R^2 exactly, and so do L*/2R and A*/R^2, on both backends."""
+    pts = sample_simplex_batch(5, math.pi, 1e-3, 8, seed=17)
+    contexts = [measure_arrays(kind, 1.0, pts)]
+    with mp.workdps(highprec.DPS):
+        contexts += [highprec.measure_exact(kind, 1.0, row) for row in pts]
+        for c in contexts:
+            assert np.all(c.L_hat == c.L / (2 * c.R)) and np.all(c.A_hat == c.A / c.R**2)
+            assert c.Lstar_hat == c.Lstar / (2 * c.R) and c.Astar_hat == c.Astar / c.R**2
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("radius", [0.3, 2.5, 7.0])
+def test_off_unit_radius_slacks_match_the_round_trip(kind, radius):
+    """Away from R = 1 the kept sums skip two roundings of L/2R and A/R^2.
+    Each float slack moves by at most 1e-14 x max(1, scale), and no
+    50-digit record moves at all."""
+    for n in (3, 4, 6):
+        pts = sample_simplex_batch(n, math.pi, 1e-3, 4, seed=[19, n])
+        ctx = measure_arrays(kind, radius, pts)
+        old = _round_trip(ctx)
+        for entry in list_entries(kind):
+            for a, k in entry.params.combos((1, 2, 3), (2, 3)):
+                new = evaluate_batch(entry, kind, radius, ctx, a, k)["slack"]
+                ref = evaluate_batch(entry, kind, radius, old, a, k)["slack"]
+                scale = inequality_catalog._evaluate_sides(entry, ctx, a, k, np.maximum)[3]
+                assert np.all(np.abs(new - ref) <= 1e-14 * scale), (entry.id, n, a, k)
+        exact = highprec.measure_exact(kind, radius, pts[0])
+        with mp.workdps(highprec.DPS):
+            old_exact = _round_trip(exact)
+            for entry in list_entries(kind):
+                for a, k in entry.params.combos((1, 2, 3), (2, 3)):
+                    got, ref = ([float(v) for v in inequality_catalog._evaluate_sides(
+                        entry, c, a, k, max)] for c in (exact, old_exact))
+                    assert got == ref, (entry.id, n, a, k)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_evaluate_is_one_pass_of_evaluate_batch(kind, radius):
+    """evaluate's lhs, rhs and slack are evaluate_batch's, and its scale is
+    max(1, every |factor * term|), for every entry and (alpha, k)."""
+    for n in (3, 5):
+        theta = sample_simplex_batch(n, math.pi, 1e-3, 1, seed=[23, n])[0]
+        poly = PolygonModel(kind, radius, make_angle_vector(theta, math.pi))
+        for entry in list_entries(kind):
+            for a, k in entry.params.combos((1, 2, 3), (2, 3)):
+                rec = evaluate(entry, poly, a, k)
+                out = evaluate_batch(entry, kind, radius, theta[None, :], a, k)
+                assert (rec.lhs, rec.rhs, rec.slack) == tuple(
+                    out[key][0] for key in ("lhs", "rhs", "slack")), (entry.id, a, k)
+                ctx = measure_arrays(kind, radius, theta[None, :])
+                terms = [abs(factor * t) for factor, side in entry.sides(ctx, a, k)
+                         for t in side]
+                assert rec.scale == max([1.0, *(float(np.ravel(t)[0]) for t in terms)]), \
+                    (entry.id, a, k)
 
 
 def test_one_exact_evaluation_per_flagged_sample(monkeypatch):
