@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingMu, OutOfDomain, TotalsDiffer
+from .errors import MissingMu, OutOfDomain, TotalsDiffer, UnknownId
 from .polygon_core import AngleVector
 from .records import SlackRecord
 
@@ -180,7 +180,7 @@ def family(name: str) -> FunctionFamily:
     for fam in builtin_families():
         if fam.name == name:
             return fam
-    raise KeyError(f"no builtin family named {name!r}")
+    raise UnknownId(f"no builtin family named {name!r}")
 
 
 def _check_domain(fam: FunctionFamily, theta: AngleVector) -> None:

@@ -60,7 +60,7 @@ class ParamOutOfDomain(BonnesenError):
 
 
 class UnknownId(BonnesenError):
-    """No catalog entry with the requested identifier."""
+    """No catalog entry or builtin function family with the requested name."""
 
 
 class BudgetExceeded(BonnesenError):
@@ -72,4 +72,4 @@ class NonFiniteValue(BonnesenError):
 
 
 class UsageError(BonnesenError):
-    """Invalid command-line or config-file input (exit code 2)."""
+    """Invalid command-line, config-file or report-file input (exit code 2)."""

@@ -167,18 +167,14 @@ def _objective(entry, kind, n, alpha, k, margin):
 
     def fn(z):
         theta = _angles_from_free(z, n, margin)
-        try:
-            # One test for the batch; a NaN row fails it and is masked below.
-            if np.maximum.reduce(theta, axis=None) < upper:
-                return catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, theta, alpha, k)["slack"]
-            ok = ~(theta >= upper).any(axis=1)
-            f = np.full(len(z), np.inf)
-            if ok.any():
-                f[ok] = catalog.evaluate_batch(
-                    entry, kind, SWEEP_RADIUS, theta[ok], alpha, k)["slack"]
-            return f
-        except OverflowError as exc:  # a power of Python floats in the sides
-            raise catalog._overflow(entry, kind, n, alpha, k) from exc
+        # One test for the batch; a NaN row fails it and is masked below.
+        if np.maximum.reduce(theta, axis=None) < upper:
+            return catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, theta, alpha, k)["slack"]
+        ok = ~(theta >= upper).any(axis=1)
+        f = np.full(len(z), np.inf)
+        if ok.any():
+            f[ok] = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, theta[ok], alpha, k)["slack"]
+        return f
 
     return fn
 
@@ -528,10 +524,7 @@ def grid_scan(
         sum_L = terms_L[rows].sum(axis=1)
         sum_A = sum_L if terms_A is terms_L else terms_A[rows].sum(axis=1)
         ctx = regular.context(sum_L, sum_A)
-        try:
-            slack = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, alpha, k)["slack"]
-        except OverflowError as exc:  # a power of Python floats in the sides
-            raise catalog._overflow(entry, kind, n, alpha, k) from exc
+        slack = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, alpha, k)["slack"]
         # Every lattice point lies in the domain, so a slack that is not
         # finite is an overflow, never a point to skip.
         if not np.isfinite(slack).all():

@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-import mpmath as mp
 import numpy as np
 
 from . import highprec
@@ -354,18 +353,20 @@ def evaluate_batch(
     """Vectorized slack over rows of ``pts``; the sweep and grid workhorse.
 
     ``pts`` is an (m, n) array of angle rows, or the EvalContext that
-    ``measure_arrays`` (or ``RegularPart.context``) built from such rows, so one
-    measurement can serve many entries; ``radius`` is then unused, as the
-    context holds R.
-    Returns arrays lhs, rhs and slack plus the validated (alpha, k). No
-    term scale: only the records of :func:`evaluate` and
-    :func:`evaluate_exact` carry one.
+    ``measure_arrays`` (or ``RegularPart.context``) built from such rows, so
+    one measurement can serve many entries; ``radius`` is then unused, as
+    the context holds R. Returns arrays lhs, rhs and slack plus the
+    validated (alpha, k), and no term scale: only records carry one. A
+    Python float power past the float range raises NonFiniteValue.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, kind, alpha, k)
     ctx = pts if isinstance(pts, EvalContext) else measure_arrays(
         kind, radius, np.asarray(pts, dtype=float))
-    lhs, rhs, slack, _ = _evaluate_sides(entry, ctx, a, kk)
+    try:
+        lhs, rhs, slack, _ = _evaluate_sides(entry, ctx, a, kk)
+    except OverflowError as exc:  # a power of Python floats in the sides
+        raise _overflow(entry, kind, ctx.n, a, kk) from exc
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     if lhs.shape != rhs.shape:  # a side with no terms is the scalar 0
         shape = max(lhs.shape, rhs.shape, key=len)
@@ -381,14 +382,18 @@ def evaluate(
 ) -> SlackRecord:
     """Slack record for one polygon; see the module docstring for signs.
 
-    One pass of the sides over the polygon's one-row context gives the
-    values and the scale, as in :func:`evaluate_batch` and
-    :func:`evaluate_exact`; a side with no terms is the scalar 0.
+    One pass of the sides over the polygon's one-row context gives values
+    and scale; a side with no terms is the scalar 0. Overflow gives inf or
+    nan quietly, or NonFiniteValue from a Python float power.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, polygon.kind, alpha, k)
     ctx = measure_arrays(polygon.kind, polygon.radius, polygon.angles.to_array()[None, :])
-    values = _evaluate_sides(entry, ctx, a, kk, np.maximum)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _evaluate_sides(entry, ctx, a, kk, np.maximum)
+    except OverflowError as exc:  # a power of Python floats in the sides
+        raise _overflow(entry, polygon.kind, ctx.n, a, kk) from exc
     return _record(entry, polygon, a, kk,
                    *(v[0] if isinstance(v, np.ndarray) else v for v in values))
 
@@ -401,15 +406,15 @@ def evaluate_exact(
 ) -> SlackRecord:
     """Slack recomputed in high precision; adjudicates near-equality cases.
 
-    Measurement and formula both run at 50 digits (``highprec.DPS``), and
-    the returned fields are correctly rounded floats of the mpf results, so
-    cancellation in the lhs/rhs differences no longer limits accuracy.
+    Measurement and formula both run at 50 digits (``highprec.DPS``) in a
+    private mpmath context, so the caller's is neither read nor changed and
+    threads may call this at once. The fields are correctly rounded floats
+    of the mpf results: cancellation in lhs - rhs no longer limits accuracy.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, polygon.kind, alpha, k)
-    with mp.workdps(highprec.DPS):
-        ctx = highprec.measure_exact(polygon.kind, polygon.radius, polygon.angles.values)
-        return _record(entry, polygon, a, kk, *_evaluate_sides(entry, ctx, a, kk, max))
+    ctx = highprec.measure_exact(polygon.kind, polygon.radius, polygon.angles.values)
+    return _record(entry, polygon, a, kk, *_evaluate_sides(entry, ctx, a, kk, max))
 
 
 def _record(entry: CatalogEntry, polygon: PolygonModel, alpha, k,

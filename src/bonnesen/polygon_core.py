@@ -186,12 +186,13 @@ class EvalContext:
     Built by :meth:`RegularPart.context` for every number backend, once
     per batch, so it is a plain dataclass: a frozen one costs more to
     build than a one-row evaluation spends in it. Treat it as read-only.
-    ``L_hat`` and ``A_hat`` are the measured sums L/2R and A/R^2 (one
-    object for a tangential polygon); ``Lstar_hat`` and ``Astar_hat`` are
-    L*/2R and A*/R^2. Anything a formula stores in :attr:`memo` is kept,
-    so the entries evaluated on one context share it.
+    ``n`` is the number of sides; ``L_hat`` and ``A_hat`` are the measured
+    sums L/2R and A/R^2 (one object for a tangential polygon);
+    ``Lstar_hat`` and ``Astar_hat`` are L*/2R and A*/R^2. What a formula
+    stores in :attr:`memo` is kept for the entries evaluated on the context.
     """
 
+    n: int
     R: object
     L: object
     A: object
@@ -218,6 +219,7 @@ class RegularPart:
     also per (kind, n, R) (``highprec._regular_part``).
     """
 
+    n: int
     R: object
     two_R: object
     r2: object
@@ -237,8 +239,8 @@ class RegularPart:
         sum sin(theta) cos(theta) when cyclic. The context keeps them as
         ``L_hat`` and ``A_hat``.
         """
-        return EvalContext(self.R, self.two_R * sum_L, self.r2 * sum_A, sum_L, sum_A,
-                           self.Lstar, self.Astar, self.Lstar_hat, self.Astar_hat,
+        return EvalContext(self.n, self.R, self.two_R * sum_L, self.r2 * sum_A, sum_L,
+                           sum_A, self.Lstar, self.Astar, self.Lstar_hat, self.Astar_hat,
                            self.dn, self.tan_pin, self.cos_pin)
 
 
@@ -253,7 +255,7 @@ def regular_part(kind: PolygonKind, n: int, R, tan_pin, sin_pin, cos_pin) -> Reg
         Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
     else:
         Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
-    return RegularPart(R=R, two_R=two_R, r2=r2, Lstar=Lstar, Astar=Astar,
+    return RegularPart(n=n, R=R, two_R=two_R, r2=r2, Lstar=Lstar, Astar=Astar,
                        Lstar_hat=Lstar / two_R, Astar_hat=Astar / r2,
                        dn=n * tan_pin, tan_pin=tan_pin, cos_pin=cos_pin)
 

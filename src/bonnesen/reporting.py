@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .errors import NonFiniteValue
+from .errors import NonFiniteValue, UsageError
 
 SCHEMA_VERSION = "bonnesen-report/1"
 
@@ -141,18 +141,20 @@ def record_rows(results: list) -> list[dict]:
 
     Verify rows report their argmin record, search rows their best slack,
     certify rows their worst condition value (with the verdict match in
-    the equality column).
+    the equality column). An argmin that is not an object is a UsageError.
     """
     out = []
-    for row in results:
+    for i, row in enumerate(results):
         if "verdict" in row:
             label = f"{row.get('function', '')}[{row.get('family', '')}]"
             rec = {"slack": row.get("worst_value", ""),
                    "equality": row.get("matches", "")}
         else:
             label = row.get("entry_id", "")
-            rec = dict(row.get("argmin", row))
-            rec.setdefault("slack", row.get("best_slack", ""))
+            rec = row.get("argmin", row)
+            if not isinstance(rec, dict):
+                raise UsageError(f"results[{i}]: argmin must be an object, got {rec!r}")
+            rec = {"slack": row.get("best_slack", ""), **rec}
         out.append({
             "entry_id": label,
             "n": row.get("n", ""),

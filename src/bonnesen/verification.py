@@ -72,14 +72,10 @@ def verify_sweep(
                 seed=seed_parts(seed) + [_KIND_INDEX[kind], n],
             )
             ctx = measure_arrays(kind, SWEEP_RADIUS, pts)
-            # Overflow is reported below as NonFiniteValue, not as numpy's
-            # warning.
+            # Overflow is reported as NonFiniteValue, not as numpy's warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 for entry, a, kk in cells:
-                    try:
-                        out = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, a, kk)
-                    except OverflowError as exc:
-                        raise catalog._overflow(entry, kind, n, a, kk) from exc
+                    out = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, a, kk)
                     lhs, rhs, slack = out["lhs"], out["rhs"], out["slack"]
                     i_min = int(np.argmin(slack))
                     # A finite slack has finite sides: inf or nan in a side

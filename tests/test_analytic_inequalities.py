@@ -105,6 +105,10 @@ class TestBuiltinFamilies:
     def test_tan_has_no_mu(self):
         assert family("tan").mu is None
 
+    def test_unknown_family(self):
+        with pytest.raises(errors.UnknownId, match="'nope'"):
+            family("nope")
+
 
 def jensen_gap(fam, av):
     """sum f(theta_i) - n f(sigma): >= 0 for convex f, <= 0 for concave f."""

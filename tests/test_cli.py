@@ -392,6 +392,18 @@ class TestReportCommand:
             f"error: report {str(bad)!r} is not a valid bonnesen-report/1 document: "
             f"{reference.value.message}\n")
 
+    @pytest.mark.parametrize("argmin", [5, "ab"])
+    def test_csv_refuses_argmin_that_is_not_an_object(self, argmin, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])
+        doc = json.loads(rep.read_text())
+        doc["results"] = [{"argmin": argmin}]
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["report", str(rep), "--format", "csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: results[0]: argmin must be an object, got {argmin!r}\n")
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rep = tmp_path / "rep.json"
         run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])

@@ -1,6 +1,8 @@
 """Catalog structure, entry formulas, soundness and sharpness."""
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -151,6 +153,21 @@ class TestEvaluateErrors:
         with pytest.raises(errors.ParamOutOfDomain):
             evaluate("C4A", poly, alpha=1, k=2)
 
+    def test_python_float_overflow_in_evaluate(self):
+        # L*^(ka) is a Python float power, so it raises instead of giving inf.
+        with pytest.raises(errors.NonFiniteValue,
+                           match=r"^T41A \(tangential, n=3, alpha=120, k=9\): ") as info:
+            evaluate("T41A", tangential(probe_triangle()), 120, 9)
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_python_float_overflow_in_evaluate_batch(self):
+        pts = np.array([probe_triangle().values])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                errors.NonFiniteValue,
+                match=r"^T41A \(tangential, n=3, alpha=120, k=9\): ") as info:
+            evaluate_batch("T41A", PolygonKind.TANGENTIAL, 1.0, pts, 120, 9)
+        assert isinstance(info.value.__cause__, OverflowError)
+
 
 class TestEvaluateAll:
     def test_tangential_grid(self):
@@ -267,6 +284,42 @@ class TestCatalogProperties:
         assert rec.slack == pytest.approx(-oracle.T52_VALUE, rel=1e-11)
         with mp.workdps(20):
             assert evaluate_exact("T52", poly) == rec
+
+    def test_exact_is_thread_safe(self):
+        # Four threads adjudicate the same pentagons while a fifth switches
+        # the global mpmath precision; every record is the serial one.
+        polys = [tangential(AngleVector(tuple(row), PI))
+                 for row in sample_simplex_batch(5, PI, 1e-4, 60, seed=61)]
+        serial = [evaluate_exact("T41A", p, 2, 3) for p in polys] * 3
+        results = [[] for _ in range(4)]
+        stop = threading.Event()
+
+        def adjudicate(out):
+            for _ in range(3):
+                out.extend(evaluate_exact("T41A", p, 2, 3) for p in polys)
+
+        def switch_precision():
+            while not stop.is_set():
+                mp.mp.dps = 15
+                mp.mp.dps = 30
+
+        dps, interval = mp.mp.dps, sys.getswitchinterval()
+        threads = [threading.Thread(target=adjudicate, args=(out,)) for out in results]
+        switcher = threading.Thread(target=switch_precision)
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in [switcher, *threads]:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            stop.set()
+            switcher.join(timeout=30)
+            assert not any(t.is_alive() for t in [switcher, *threads])
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            mp.mp.dps = dps
+        assert all(out == serial for out in results)
 
     def test_exact_resolves_near_equality(self):
         # The slack gap grows like 288 eps^2 while float angles satisfy the

@@ -157,7 +157,7 @@ def _context_reference(kind, n, R, sum_L, sum_A, tan_pin, sin_pin, cos_pin):
         Lstar, Astar = 2 * n * R * tan_pin, n * r2 * tan_pin
     else:
         Lstar, Astar = 2 * n * R * sin_pin, n * r2 * sin_pin * cos_pin
-    return EvalContext(R=R, L=2 * R * sum_L, A=r2 * sum_A, L_hat=sum_L, A_hat=sum_A,
+    return EvalContext(n=n, R=R, L=2 * R * sum_L, A=r2 * sum_A, L_hat=sum_L, A_hat=sum_A,
                        Lstar=Lstar, Astar=Astar, Lstar_hat=Lstar / (2 * R),
                        Astar_hat=Astar / r2, dn=n * tan_pin, tan_pin=tan_pin,
                        cos_pin=cos_pin)
