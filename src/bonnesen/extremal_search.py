@@ -2,10 +2,9 @@
 
 Three complementary tools around the catalog evaluators:
 
-  * minimize_slack: multi-start derivative-free simplex descent on a
-    smooth reparameterization of the constrained angle space, locating the
-    slack minimum (zero, at the regular polygon, when the inequality is
-    sharp).
+  * minimize_slack: multi-start projected quasi-Newton descent on the
+    angles, locating the slack minimum (zero, at the regular polygon, when
+    the inequality is sharp).
   * grid_scan: exhaustive minimum over the integer-composition lattice of
     the simplex, evaluated once per multiset of lattice angles (every
     slack is symmetric in the angles); the brute-force oracle the
@@ -14,19 +13,13 @@ Three complementary tools around the catalog evaluators:
     threshold, with high-precision re-certification before any
     counterexample is reported.
 
-The reparameterization maps n - 1 free reals z through a softmax with an
-anchored last coordinate to positive weights, then to angles
-margin + (total - n margin) * w, so iterates always satisfy the sum
-constraint and the lower margin; the upper domain bound is enforced by an
-infinite objective. Independent starts use seed-derived substreams and the
-best result is reduced in start order, so outcomes depend only on the seed.
-
-Both descents run on one driver, :class:`_Lanes`, which advances many
-starts in lockstep. An iteration evaluates four candidate points of
-every start in one batched catalog call, plus one call for the starts
-whose simplex shrinks. A start's result, and the evaluations charged to
-it, are bit-identical to those of the start descending alone; the
-candidates it does not take are evaluated but not charged.
+Both descents run on one pool class, :class:`_Pool`: projected quasi-Newton
+steps on the angles, many starts in lockstep, with exact gradients from
+forward-mode dual numbers (``polygon_core.Dual``) and one
+``evaluate_batch`` call per iteration, one evaluation charged per lane.
+An angle on a bound of the box [margin, pi/2 - margin] is held until the
+gradient points inward, and a descent stops on a KKT test
+(:func:`minimize_slack` states the rules). Outcomes depend only on the seed.
 """
 
 from __future__ import annotations
@@ -44,6 +37,7 @@ from .polygon_core import (
     SWEEP_RADIUS,
     AngleVector,
     PolygonKind,
+    Dual,
     PolygonModel,
     _check_margin_window,
     angle_terms,
@@ -51,9 +45,11 @@ from .polygon_core import (
     seed_parts,
 )
 
-#: Every descent stops at a simplex diameter below DESCENT_XTOL or after
-#: DESCENT_MAX_ITER iterations; minimize_slack makes MAX_STARTS at most.
-DESCENT_XTOL, DESCENT_MAX_ITER = 1e-10, 4000
+#: A descent converges when its KKT residual, the largest projected
+#: gradient component relative to max(1, |multiplier|), is at most
+#: DESCENT_GTOL, and stops unconverged after DESCENT_MAX_ITER evaluations;
+#: minimize_slack makes MAX_STARTS at most.
+DESCENT_GTOL, DESCENT_MAX_ITER = 1e-10, 4000
 MAX_STARTS = 160
 
 #: grid_scan refuses lattices with more points than this. The count is of
@@ -64,16 +60,11 @@ GRID_POINT_CAP = 10_000_000
 #: Certified counterexamples need exact slack below -this times the scale.
 COUNTEREXAMPLE_RTOL = 1e-8
 
-#: Starts falsify descends at once: FALSIFY_NARROW_LANES below a budget
-#: of FALSIFY_WIDE_BUDGET evaluations, FALSIFY_WIDE_LANES from it on.
-#: Starts past the first certified counterexample, or past the budget,
-#: are descended and then dropped, so a wider pool saves batched calls at
-#: large budgets but wastes rows at small ones. Over the 21 catalog cases
-#: at n = 4 on a 2-vCPU host, 8 lanes ran fastest at budgets of 750 and
-#: 2000 (32 lanes took 1.27x and 1.16x as long); at 5000, 2 x 10^4 and
-#: 10^5, 32 lanes took 0.61x, 0.45x and 0.38x the time of 8. Budgets
-#: between 2000 and 5000 were not measured and keep the narrow pool.
-FALSIFY_NARROW_LANES, FALSIFY_WIDE_LANES = 8, 32
+#: Starts falsify descends at once, a round at a time: FALSIFY_NARROW_LANES
+#: below a budget of FALSIFY_WIDE_BUDGET evaluations, FALSIFY_WIDE_LANES
+#: from it on. A round runs until its longest descent ends, so it should
+#: hold the starts a budget affords (55-79 at a budget of 750).
+FALSIFY_NARROW_LANES, FALSIFY_WIDE_LANES = 80, 256
 FALSIFY_WIDE_BUDGET = 5000
 
 _TOTAL = math.pi
@@ -123,261 +114,239 @@ def _case(entry_or_id, n: int, alpha, k, kind: PolygonKind | None, margin: float
     return entry, kind, alpha, k
 
 
-def _feasible_start(rng, n: int, margin: float) -> np.ndarray:
-    """A simplex point with every coordinate strictly inside the domain."""
-    upper = GEOMETRIC_BOUND - 2 * margin
-    for _ in range(1000):
-        theta = rng.dirichlet(np.ones(n)) * _TOTAL
-        if (theta > 2 * margin).all() and (theta < upper).all():
-            return theta
-    # Vanishingly unlikely for the defaults; jitter the regular point instead.
-    theta = np.full(n, _TOTAL / n) * (1.0 + 0.01 * rng.standard_normal(n))
-    return theta * (_TOTAL / theta.sum())
+#: Dual seeds of the two sums: d/d sum_L and d/d sum_A.
+_SEED_L, _SEED_A = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+
+#: How far a start may reach from the regular point toward the bounds of
+#: the box; starts on the bounds (1) tripled falsify's time at n = 3 and 4.
+_START_REACH = 0.75
+
+#: Sufficient decrease of the Armijo test. Where the trial's slack is at
+#: most _FLAT (1 + |slack at the start|) above the lane's, the test takes
+#: the slope at the trial instead, which rounding in the slack cannot fool.
+_ARMIJO, _FLAT = 1e-4, 1e-10
+
+#: A step that moves no angle by more than this (the float spacing at
+#: pi/2) does not move the lane.
+_NO_MOVE = float(np.spacing(GEOMETRIC_BOUND))
 
 
-def _angles_from_free(z: np.ndarray, n: int, margin: float) -> np.ndarray:
-    """Angle rows of the free rows ``z``, shape (m, n - 1) -> (m, n)."""
-    # In place on one array, and the reductions without the ndarray
-    # method wrappers: one call costs far more than these few rows.
-    w = np.zeros((len(z), n))
-    w[:, :-1] = z
-    w -= np.maximum.reduce(w, axis=1, keepdims=True)  # softmax overflow guard
-    np.exp(w, out=w)
-    w /= np.add.reduce(w, axis=1, keepdims=True)
-    w *= _TOTAL - n * margin
-    w += margin
-    return w
+def _start_points(rng, count: int, n: int, margin: float) -> np.ndarray:
+    """The next ``count`` start points of the stream ``rng``, one per row.
+
+    Each start takes one Dirichlet row of the stream and shrinks it toward
+    the regular point just far enough that every angle lies at most
+    _START_REACH of the way from pi/n to its bound of the box [margin,
+    pi/2 - margin]; a convex combination keeps the sum. A start draws the
+    same row however the starts are batched, so its point depends only on
+    the seed and its index.
+    """
+    sigma = _TOTAL / n
+    d = rng.dirichlet(np.ones(n), size=count) * _TOTAL - sigma
+    reach = np.abs(d) / np.where(d > 0, GEOMETRIC_BOUND - margin - sigma, sigma - margin)
+    shrink = _START_REACH / np.maximum(_START_REACH, np.maximum.reduce(reach, axis=1))
+    return sigma + shrink[:, None] * d
 
 
-def _free_from_angles(theta: np.ndarray, n: int, margin: float) -> np.ndarray:
-    w = (theta - margin) / (_TOTAL - n * margin)
-    logw = np.log(w)
-    return (logw - logw[-1])[:-1]
+def _objective(entry, kind, n, alpha, k):
+    """Slack of each angle row and its gradient in the angles, in one call.
 
+    The sums enter as dual numbers, so d slack / d theta_i = g_L dL_i +
+    g_A dA_i with the partials g of ``evaluate_batch``: dL_i = dA_i =
+    sec^2 theta_i when tangential, cos theta_i and cos 2 theta_i when cyclic.
+    """
+    regular = float_regular_part(kind, n, SWEEP_RADIUS)
 
-def _start_point(seed, index: int, n: int, margin: float) -> np.ndarray:
-    """Free coordinates of start ``index``, drawn from substream seed + [index]."""
-    rng = np.random.default_rng(seed_parts(seed) + [index])
-    return _free_from_angles(_feasible_start(rng, n, margin), n, margin)
-
-
-def _objective(entry, kind, n, alpha, k, margin):
-    """Slack of each free row; inf where an angle reaches the upper bound."""
-    upper = GEOMETRIC_BOUND - margin
-
-    def fn(z):
-        theta = _angles_from_free(z, n, margin)
-        # One test for the batch; a NaN row fails it and is masked below.
-        if np.maximum.reduce(theta, axis=None) < upper:
-            return catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, theta, alpha, k)["slack"]
-        ok = ~(theta >= upper).any(axis=1)
-        f = np.full(len(z), np.inf)
-        if ok.any():
-            f[ok] = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, theta[ok], alpha, k)["slack"]
-        return f
+    def fn(theta):
+        terms_L, terms_A = angle_terms(kind, theta)
+        sum_L = Dual(np.add.reduce(terms_L, axis=1), _SEED_L)
+        one = terms_A is terms_L
+        sum_A = sum_L if one else Dual(np.add.reduce(terms_A, axis=1), _SEED_A)
+        out = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS,
+                                     regular.context(sum_L, sum_A), alpha, k)
+        if one:
+            return out["slack"], out["slack_dL"][:, None] * (1.0 + terms_L * terms_L)
+        return out["slack"], (out["slack_dL"][:, None] * np.cos(theta)
+                              + out["slack_dA"][:, None] * np.cos(2.0 * theta))
 
     return fn
 
 
 @dataclass(frozen=True)
 class _Descent:
-    """One finished lane: its best vertex and what it cost."""
+    """One finished lane: where it ended and the evaluations it took; ``f``
+    is inf when the descent overflowed."""
 
     start: int
-    z: np.ndarray
+    theta: np.ndarray
     f: float
-    iterations: int
-    converged: bool
     evals: int
+    converged: bool
 
 
-_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
-
-#: A lane's candidates are c + t d, c the centroid of all but its worst
-#: vertex: the reflection and the inside contraction along d = c - worst,
-#: the expansion and the outside contraction along d = reflection - c.
-_ALONG_WORST = np.array([_REFLECT, -_CONTRACT])[:, None, None]
-_ALONG_REFLECTION = np.array([_EXPAND, _CONTRACT])[:, None, None]
+#: Per-lane state, one array each, rows in lane order.
+_STATE = ("x", "f", "g", "H", "p", "t", "slope", "trial", "fresh", "ftol")
 
 
-class _Lanes:
-    """Plain downhill simplex run on many starts at once, in lockstep.
+class _Pool:
+    """Projected quasi-Newton descents of many starts at once, in lockstep.
 
-    Each lane is one start's simplex; the lanes are held as a (lanes,
-    dim + 1, dim) array, oldest first. New lanes' initial simplices take
-    one call of ``fn``; then an iteration makes one call over four
-    candidate points of every lane, and one more over the new vertices of
-    the lanes that shrink (see :meth:`_advance`). Per lane the arithmetic
-    is that of a single-simplex descent: the same stable sort, centroid
-    and norm, so a lane's result does not depend on the other lanes in
-    the batch. A lane finishes when its diameter (max vertex distance to
-    the best vertex) drops below ``xtol`` or after ``max_iter`` iterations.
-
-    An iteration makes the same few numpy calls whatever the number of
-    lanes: the arithmetic runs on the whole block, and only each lane's
-    choice of branch, and the count of what it is charged, runs per lane
-    on Python floats and ints.
+    Each lane is one start: ``starts`` holds their indices, ``thetas``
+    their angle rows. A step evaluates one trial point of every running
+    lane, value and gradient, in one call of ``fn``. Every operation is
+    elementwise or a reduction within a lane's row, in C order, so a
+    lane's result is bit-identical whatever lanes share the pool.
     """
 
-    def __init__(self, fn, dim: int, xtol: float, max_iter: int):
-        self.fn, self.dim, self.xtol, self.max_iter = fn, dim, xtol, max_iter
-        #: Evaluations charged to every lane added so far, running or not.
-        self.spent = 0
-        self._pending: list[tuple[int, np.ndarray]] = []
-        self.verts = np.empty((0, dim + 1, dim))
-        self.fvals = np.empty((0, dim + 1))
-        # Per running lane: its start, the iteration it joined at (see
-        # ``iters``) and the evaluations charged to it.
-        self.starts: list[int] = []
-        self._joined: list[int] = []
-        self._evals: list[int] = []
-        self._clock = 0  # iterations run by the pool
-        self._rows = np.empty((0, 1), dtype=int)  # lane index column for gathers
-
-    @property
-    def iters(self) -> np.ndarray:
-        """Iterations each running lane has run."""
-        return np.array([self._clock - j for j in self._joined], dtype=int)
-
-    @property
-    def evals(self) -> np.ndarray:
-        """Evaluations charged to each running lane."""
-        return np.array(self._evals, dtype=int)
-
-    def __len__(self) -> int:
-        return len(self.starts) + len(self._pending)
-
-    def add(self, start: int, x0: np.ndarray) -> None:
-        """Queue a lane from ``x0``; its simplex is evaluated at the next step."""
-        verts = [x0.copy()]
-        for i in range(self.dim):
-            v = x0.copy()
-            v[i] += 0.1 if v[i] == 0.0 else 0.1 * abs(v[i]) + 0.05
-            verts.append(v)
-        self._pending.append((start, np.asarray(verts)))
-        self.spent += self.dim + 1
+    def __init__(self, fn, margin: float, starts, thetas: np.ndarray):
+        m, n = thetas.shape
+        self.fn, self.n, self.starts = fn, n, list(starts)
+        self.lower, self.upper = margin, GEOMETRIC_BOUND - margin
+        self.steps = 0
+        self._P = np.eye(n) - 1.0 / n
+        # f = inf and t = 0: a start is taken unless its slack is NaN. H is
+        # zero, so the first direction restarts it.
+        self.x = self.trial = thetas
+        self.f, self.ftol = np.full(m, np.inf), np.zeros(m)
+        self.g, self.p = np.zeros((m, n)), np.zeros((m, n))
+        self.H = np.zeros((m, n, n))
+        self.t, self.slope = np.zeros(m), np.zeros(m)
+        self.fresh = np.zeros(m, dtype=bool)  # H restarted, no BFGS update since
 
     def run(self) -> list[_Descent]:
         """Descend every lane to the end; results in start order."""
         done = []
-        while len(self):
-            done += self.step()
+        # Overflowing slacks end a descent and are handled by the caller.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while self.starts:
+                done += self.step()
         return sorted(done, key=lambda d: d.start)
 
     def step(self) -> list[_Descent]:
-        """Advance every lane one iteration; return the lanes that finished."""
-        if self._pending:
-            self._admit()
-        done = []
-        # Oldest first, so no lane has run more iterations than the first.
-        if self.starts and self._clock - self._joined[0] >= self.max_iter:
-            done += self._retire([i for i, j in enumerate(self._joined)
-                                  if self._clock - j >= self.max_iter], converged=False)
-            if not self.starts:
-                return done
-        self._clock += 1
-        order = self.fvals.argsort(axis=1, kind="stable")
-        v = self.verts = self.verts[self._rows, order]
-        self.fvals = self.fvals[self._rows, order]
-        # Squared distances to the best vertex, summed as np.linalg.norm
-        # sums them; the root of a lane's largest is its diameter.
-        e = v[:, 1:] - v[:, :1]
-        e *= e
-        sq = np.maximum.reduce(np.add.reduce(e, axis=2), axis=1)
-        # fmin passes over NaN: has any lane converged?
-        if math.sqrt(np.fmin.reduce(sq)) < self.xtol:
-            done += self._retire(np.flatnonzero(np.sqrt(sq) < self.xtol).tolist(),
-                                 converged=True)
-        if self.starts:
-            self._advance()
-        return done
+        """Advance every lane one evaluation; return the lanes that finished."""
+        x, f, t, slope, trial = self.x, self.f, self.t, self.slope, self.trial
+        fv, gv = self.fn(trial)
+        self.steps += 1
+        acc = fv <= f + _ARMIJO * t * slope
+        acc |= (fv <= f + self.ftol) & (
+            np.add.reduce(gv * self.p, axis=1) <= (2 * _ARMIJO - 1) * slope)
+        # The BFGS pair, y on the sum-zero subspace; at a start s = 0.
+        s = trial - x
+        y = gv - self.g
+        y -= (np.add.reduce(y, axis=1) / self.n)[:, None]
+        sy = np.add.reduce(s * y, axis=1)
+        upd = acc & (sy > 0)
+        if upd.any():
+            self._bfgs(upd, s, y, sy)
+        # Backtrack to the minimum of the quadratic through f, slope and fv,
+        # kept within [0.1 t, 0.5 t]; by 0.1 where it is NaN.
+        q = -slope * t * t / (2.0 * (fv - f - slope * t))
+        t = np.where(acc, 1.0, np.fmin(np.fmax(q, 0.1 * t), 0.5 * t))
+        x = self.x = np.where(acc[:, None], trial, x)
+        f = self.f = np.where(acc, fv, f)
+        g = self.g = np.where(acc[:, None], gv, self.g)
+        if self.steps == 1:
+            self.ftol = _FLAT * (1.0 + np.abs(fv))
+        lower, upper = self.lower, self.upper
+        lam, pg, p = self._direction(x, g)
+        # The KKT residual: the projected gradient, relative to the multiplier.
+        r = np.maximum.reduce(np.abs(pg), axis=1) / np.maximum(1.0, np.abs(lam))
+        slope = np.add.reduce(pg * p, axis=1)
+        trial = x + t[:, None] * p
+        # Restart H where the direction is not downhill or the step no
+        # longer moves the lane: steepest descent, at most a radian per
+        # angle. A lane whose restarted H fails so stops.
+        renew = ~(slope < 0) | (np.maximum.reduce(np.abs(trial - x), axis=1) <= _NO_MOVE)
+        again, stop = renew & ~self.fresh, renew & self.fresh
+        if again.any():
+            c = 1.0 / np.maximum(1.0, np.maximum.reduce(np.abs(pg), axis=1))
+            self.H = np.where(again[:, None, None], c[:, None, None] * self._P, self.H)
+            self.fresh = self.fresh | again
+            p = np.where(again[:, None], -c[:, None] * pg, p)
+            slope = np.where(again, -c * np.add.reduce(pg * pg, axis=1), slope)
+            t = np.where(again, 1.0, t)
+            trial = x + t[:, None] * p
+            stop |= again & (np.maximum.reduce(np.abs(trial - x), axis=1) <= _NO_MOVE)
+        out = ((trial < lower) | (trial > upper)).any(axis=1)
+        if out.any():
+            # Cut the lanes that leave the box; their limiting angles end on it.
+            room = np.where(p > 0, upper - x, x - lower) / np.abs(p)
+            t = np.where(out, np.minimum(t, np.fmin.reduce(room, axis=1)), t)
+            on = out[:, None] & (room == t[:, None])
+            trial = np.where(on, np.where(p > 0, upper, lower),
+                             np.where(out[:, None], x + t[:, None] * p, trial))
+        self.p, self.slope, self.t, self.trial = p, slope, t, trial
+        # A slack, gradient or slope past the float range ends a lane as overflowing.
+        finite = np.isfinite(f + r + slope)
+        converged = finite & (r <= DESCENT_GTOL)
+        done = converged | ~finite | stop | (self.steps >= DESCENT_MAX_ITER)
+        if not done.any():
+            return []
+        return self._retire(np.flatnonzero(done), converged, finite)
 
-    def _admit(self) -> None:
-        """Evaluate the queued lanes' simplices in one call and append them."""
-        dim = self.dim
-        starts, verts = zip(*self._pending)
-        self._pending = []
-        verts = np.stack(verts)
-        fvals = self.fn(verts.reshape(-1, dim)).reshape(len(verts), dim + 1)
-        self.verts = np.concatenate([self.verts, verts])
-        self.fvals = np.concatenate([self.fvals, fvals])
-        self.starts += starts
-        self._joined += [self._clock] * len(starts)
-        self._evals += [dim + 1] * len(starts)
-        self._rows = np.arange(len(self.starts))[:, None]
+    def _direction(self, x, g):
+        """(multiplier, projected gradient, direction) of every lane.
 
-    def _retire(self, lanes: list[int], converged: bool) -> list[_Descent]:
-        """Take ``lanes`` (indices, ascending) out of the pool as results."""
-        fvals = self.fvals[lanes]
-        best = np.argmin(fvals, axis=1)
-        done = [
-            _Descent(start=self.starts[i], z=v[b], f=float(f[b]),
-                     iterations=self._clock - self._joined[i], converged=converged,
-                     evals=self._evals[i])
-            for i, v, f, b in zip(lanes, self.verts[lanes], fvals, best)
-        ]
-        out = set(lanes)
-        keep = [i for i in range(len(self.starts)) if i not in out]
-        self.verts, self.fvals = self.verts[keep], self.fvals[keep]
-        self.starts = [self.starts[i] for i in keep]
-        self._joined = [self._joined[i] for i in keep]
-        self._evals = [self._evals[i] for i in keep]
-        self._rows = np.arange(len(keep))[:, None]
-        return done
-
-    def _advance(self) -> None:
-        """Reflect, then expand, contract or shrink, for every live lane.
-
-        Every point a lane may take this iteration (the reflection, the
-        expansion, the outside and the inside contraction) is known before
-        any is evaluated, so all four points of every lane go through one
-        call of ``fn``; the lanes that shrink make a second. A call costs
-        nearly the same at 1 row as at 4 x lanes, so evaluating the points
-        a lane does not take is cheaper than a second call. A lane is
-        charged only for the points a single-simplex descent evaluates
-        (the reflection, at most one other, a shrink's ``dim`` vertices),
-        so the rows evaluated exceed the evaluations charged.
+        The direction is -H times the projected gradient over the free
+        angles, recentred on their sum-zero subspace (rounding along
+        (1, ..., 1) grows with H). An angle on a bound is freed while the
+        gradient points inward of the free angles' multiplier (every
+        angle's, when all are on bounds); the direction also holds what it
+        would push outward.
         """
-        v, f, dim = self.verts, self.fvals, self.dim
-        lanes = len(v)
-        c = np.add.reduce(v[:, :-1], axis=1)
-        c /= dim  # the centroid, as ndarray.mean takes it
-        # Rows: every lane's reflection, expansion, outside and inside
-        # contraction.
-        pts = np.empty((4, lanes, dim))
-        np.add(c, _ALONG_WORST * (c - v[:, -1]), out=pts[::3])
-        np.add(c, _ALONG_REFLECTION * (pts[0] - c), out=pts[1:3])
-        pts = pts.reshape(-1, dim)
-        fc = self.fn(pts).tolist()
-        rows, fnew, shrink, evals = [], [], [], self._evals
-        spent = self.spent
-        for i, fl in enumerate(f.tolist()):
-            fr = fc[i]
-            if fr < fl[0]:  # try the expansion; keep the better point
-                fe = fc[lanes + i]
-                r, fx = (lanes + i, fe) if fe < fr else (i, fr)
-                charge = 2
-            elif fr < fl[-2]:  # take the reflection
-                r, fx, charge = i, fr, 1
-            else:  # contract towards the better of reflection and worst
-                r, fbase = (3 * lanes + i, fl[-1]) if fr >= fl[-1] else (2 * lanes + i, fr)
-                fx, charge = fc[r], 2
-                if not fx < fbase:  # shrink, over the contraction written below
-                    shrink.append(i)
-                    charge += dim
-            rows.append(r)
-            fnew.append(fx)
-            evals[i] += charge
-            spent += charge
-        self.spent = spent
-        if shrink:  # towards the best vertex, from the worst before it is written
-            s = v[shrink]
-            s[:, 1:] = s[:, :1] + _SHRINK * (s[:, 1:] - s[:, :1])
-        v[:, -1] = pts.take(rows, axis=0)
-        f[:, -1] = fnew
-        if shrink:
-            v[shrink] = s
-            f[shrink, 1:] = self.fn(s[:, 1:].reshape(-1, dim)).reshape(-1, dim)
+        lo, hi = x <= self.lower, x >= self.upper
+        free = ~(lo | hi)
+        while True:
+            basis = free | ~free.any(axis=1)[:, None]
+            lam = np.add.reduce(g * basis, axis=1) / np.add.reduce(basis, axis=1)
+            more = free | (lo & (g < lam[:, None])) | (hi & (g > lam[:, None]))
+            if (more == free).all():
+                break
+            free = more
+        pg = grad = np.where(free, g - lam[:, None], 0.0)
+        while True:
+            count = np.maximum(np.add.reduce(free, axis=1), 1)
+            p = np.where(free, np.add.reduce(self.H * grad[:, None, :], axis=2), 0.0)
+            p = np.where(free, (np.add.reduce(p, axis=1) / count)[:, None] - p, 0.0)
+            held = (lo & (p < 0)) | (hi & (p > 0))
+            if not held.any():
+                return lam, pg, p
+            free = free & ~held
+            mean = np.add.reduce(g * free, axis=1) / np.maximum(np.add.reduce(free, axis=1), 1)
+            grad = np.where(free, g - mean[:, None], 0.0)
+
+    def _bfgs(self, upd, s, y, sy):
+        """BFGS update of the inverse Hessian of the lanes ``upd``.
+
+        H is first scaled by sy / yHy: outright at its first update
+        (Shanno and Phua), later only upward (Oren and Luenberger), so that
+        an early step across a steep wall cannot leave it too small.
+        """
+        idx = np.flatnonzero(upd)
+        H, fresh, s, y, sy = self.H[idx], self.fresh[idx], s[idx], y[idx], sy[idx]
+        Hy = np.add.reduce(H * y[:, None, :], axis=2)
+        yHy = np.add.reduce(y * Hy, axis=1)
+        tau = sy / yHy
+        tau = np.where(fresh, tau, np.maximum(tau, 1.0))
+        rho = 1.0 / sy
+        # tau H + s v' + v s', the BFGS update of tau H.
+        v = (0.5 * (rho + rho * rho * tau * yHy))[:, None] * s - (rho * tau)[:, None] * Hy
+        sv = s[:, :, None] * v[:, None, :]
+        self.H[idx] = tau[:, None, None] * H + sv + sv.transpose(0, 2, 1)
+        self.fresh[idx] = False
+
+    def _retire(self, lanes, converged, finite) -> list[_Descent]:
+        """Take ``lanes`` (indices, ascending) out of the pool as results."""
+        done = [_Descent(start=self.starts[i], theta=self.x[i],
+                         f=float(self.f[i]) if finite[i] else math.inf,
+                         evals=self.steps, converged=bool(converged[i]))
+                for i in lanes.tolist()]
+        keep = np.ones(len(self.starts), dtype=bool)
+        keep[lanes] = False
+        for name in _STATE:
+            setattr(self, name, getattr(self, name)[keep])
+        self.starts = [s for s, kp in zip(self.starts, keep.tolist()) if kp]
+        return done
 
 
 def minimize_slack(
@@ -391,48 +360,50 @@ def minimize_slack(
     kind: PolygonKind | None = None,
     margin: float = DEFAULT_MARGIN,
 ) -> SearchResult:
-    """Multi-start simplex descent on an entry's slack at R = 1.
+    """Multi-start projected quasi-Newton descent on an entry's slack at R = 1.
 
-    Runs ``starts`` independent descents from seeded random simplex points;
-    when none converges the start count doubles, up to MAX_STARTS starts
-    in all. Each descent stops at a simplex diameter below DESCENT_XTOL or
-    after DESCENT_MAX_ITER iterations. Deterministic given the seed,
-    independent of any parallelism. ``starts`` outside [1, MAX_STARTS]
-    raises DomainViolation.
+    Runs ``starts`` descents from seeded random simplex points on one
+    lockstep pool; when none converges the start count doubles, up to
+    MAX_STARTS in all. Each takes BFGS steps with Armijo backtracking on
+    the angles, keeping their sum; steepest descent restarts it where a
+    direction is not downhill or a step no longer moves it. An angle on a
+    bound of the box [margin, pi/2 - margin] is held until the gradient
+    points inward, and a step that would leave the box ends on it. A
+    descent converges when its KKT residual (the projected gradient,
+    relative to the multiplier) is at most DESCENT_GTOL, and stops
+    unconverged after DESCENT_MAX_ITER evaluations or when a restarted
+    step fails. ``iterations`` counts evaluations, one per value-and-
+    gradient row. ``starts`` outside [1, MAX_STARTS] raises
+    DomainViolation; NonFiniteValue when no descent ends at a finite slack.
     """
     if not 1 <= starts <= MAX_STARTS:
         raise DomainViolation(f"starts must be in [1, {MAX_STARTS}], got {starts}")
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
-    fn = _objective(entry, kind, n, alpha, k, margin)
+    fn = _objective(entry, kind, n, alpha, k)
+    rng = np.random.default_rng(seed_parts(seed))
     sigma = _TOTAL / n
 
-    best_z, best_f = None, float("inf")
+    best, best_f = None, float("inf")
     total_iters = 0
     any_converged = False
     used = 0
     batch = starts
     while used < MAX_STARTS:
         batch = min(batch, MAX_STARTS - used)
-        lanes = _Lanes(fn, n - 1, DESCENT_XTOL, DESCENT_MAX_ITER)
-        for idx in range(used, used + batch):
-            lanes.add(idx, _start_point(seed, idx, n, margin))
-        # Overflowing slacks are refused below, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            descents = lanes.run()
-        for d in descents:
-            total_iters += d.iterations
+        thetas = _start_points(rng, batch, n, margin)
+        for d in _Pool(fn, margin, range(used, used + batch), thetas).run():
+            total_iters += d.evals
             any_converged = any_converged or d.converged
             if math.isfinite(d.f) and d.f < best_f:
-                best_f, best_z = d.f, d.z
+                best_f, best = d.f, d.theta
         used += batch
         if any_converged:
             break
         batch *= 2  # adaptive doubling on total non-convergence
-    if best_z is None:
+    if best is None:
         # Every start is feasible, so no finite end means overflowing sides.
         raise catalog._overflow(entry, kind, n, alpha, k)
-    theta = _angles_from_free(best_z[None, :], n, margin)[0]
-    angles = AngleVector(values=tuple(float(v) for v in theta), total=_TOTAL)
+    angles = AngleVector(values=tuple(float(v) for v in best), total=_TOTAL)
     return SearchResult(
         entry_id=entry.id,
         best_angles=angles,
@@ -440,7 +411,7 @@ def minimize_slack(
         iterations=total_iters,
         starts=used,
         converged=any_converged,
-        distance_to_regular=float(np.max(np.abs(theta - sigma))),
+        distance_to_regular=float(np.max(np.abs(best - sigma))),
     )
 
 
@@ -582,14 +553,15 @@ def falsify(
 ) -> Counterexample | None:
     """Adversarial search for a certified violation of an entry at R = 1.
 
-    Runs simplex descents until the objective-evaluation budget is spent,
-    :func:`_falsify_lanes` starts at a time, with the stopping rule of
-    :func:`minimize_slack` and angles DEFAULT_MARGIN inside the domain.
-    Starts are settled in start order as if run one after another: start
-    i counts only if the starts before it spent less than the budget, and
-    the first certified counterexample in start order wins, so the verdict
-    does not depend on the lane count.
-    Any candidate with slack below -1e-8 * scale is re-evaluated in
+    Runs the descents of :func:`minimize_slack`, with its stop rule and
+    margin DEFAULT_MARGIN, in rounds of :func:`_falsify_lanes` starts
+    until the evaluation budget is spent; a descent is charged one
+    evaluation per value-and-gradient row it takes. Starts are settled in
+    start order as if run one after another: start i counts only if the
+    starts before it spent less than the budget, and the first certified
+    counterexample in start order wins, so the verdict does not depend on
+    the lane count.
+    Any descent ending with slack below -1e-8 * scale is re-evaluated in
     high-precision mode; only an exact negative of the same magnitude is
     returned. None means no counterexample was found within budget, i.e.
     the inequality survived falsification at this budget. When no settled
@@ -600,47 +572,38 @@ def falsify(
     if budget_evals < 1:
         raise DomainViolation(f"budget_evals must be >= 1, got {budget_evals}")
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, DEFAULT_MARGIN)
-    fn = _objective(entry, kind, n, alpha, k, DEFAULT_MARGIN)
-    upper = GEOMETRIC_BOUND - DEFAULT_MARGIN
-    lanes = _Lanes(fn, n - 1, DESCENT_XTOL, DESCENT_MAX_ITER)
+    fn = _objective(entry, kind, n, alpha, k)
+    rng = np.random.default_rng(seed_parts(seed))
     width = _falsify_lanes(budget_evals)
-    finished: dict[int, _Descent] = {}
-    spent = settled = launched = 0
+    spent = launched = 0
     any_finite = False
     while spent < budget_evals:
-        if settled not in finished:
-            # Start ``launched`` runs only if the starts before it spend
-            # less than the budget; lanes.spent bounds their spend below.
-            while len(lanes) < width and lanes.spent < budget_evals:
-                lanes.add(launched, _start_point(seed, launched, n, DEFAULT_MARGIN))
-                launched += 1
-            # A descent that overflows ends at a non-finite slack and is
-            # skipped below, not warned about.
-            with np.errstate(over="ignore", invalid="ignore"):
-                stepped = lanes.step()
-            for d in stepped:
-                finished[d.start] = d
-            continue
-        d = finished.pop(settled)
-        spent += d.evals
-        settled += 1
-        if not math.isfinite(d.f):
-            continue  # overflowing sides; every start is feasible
-        any_finite = True
-        theta = _angles_from_free(d.z[None, :], n, DEFAULT_MARGIN)[0]
-        if (theta >= upper).any():
-            continue  # descent never left the infeasible barrier
-        angles = AngleVector(values=tuple(float(v) for v in theta), total=_TOTAL)
-        poly = PolygonModel(kind=kind, radius=SWEEP_RADIUS, angles=angles)
-        std = catalog.evaluate(entry, poly, alpha, k)
-        if std.slack < -COUNTEREXAMPLE_RTOL * std.scale:
-            exact = catalog.evaluate_exact(entry, poly, alpha, k)
-            if exact.slack < -COUNTEREXAMPLE_RTOL * exact.scale:
-                return Counterexample(
-                    entry_id=entry.id, angles=angles,
-                    slack=std.slack, slack_exact=exact.slack,
-                    scale=exact.scale, alpha=alpha, k=k,
-                )
+        # One round: the next starts, each only if the starts before it may
+        # have spent less than the budget (each new one costs at least 1).
+        batch = min(width, budget_evals - spent)
+        thetas = _start_points(rng, batch, n, DEFAULT_MARGIN)
+        for d in _Pool(fn, DEFAULT_MARGIN, range(launched, launched + batch), thetas).run():
+            if spent >= budget_evals:
+                break
+            spent += d.evals
+            if not math.isfinite(d.f):
+                continue  # overflowing sides; every start is feasible
+            any_finite = True
+            # d.f is the float slack of d.theta, and the scale is at least 1.
+            if not d.f < -COUNTEREXAMPLE_RTOL:
+                continue
+            angles = AngleVector(values=tuple(float(v) for v in d.theta), total=_TOTAL)
+            poly = PolygonModel(kind=kind, radius=SWEEP_RADIUS, angles=angles)
+            std = catalog.evaluate(entry, poly, alpha, k)
+            if std.slack < -COUNTEREXAMPLE_RTOL * std.scale:
+                exact = catalog.evaluate_exact(entry, poly, alpha, k)
+                if exact.slack < -COUNTEREXAMPLE_RTOL * exact.scale:
+                    return Counterexample(
+                        entry_id=entry.id, angles=angles,
+                        slack=std.slack, slack_exact=exact.slack,
+                        scale=exact.scale, alpha=alpha, k=k,
+                    )
+        launched += batch
     if not any_finite:
         raise catalog._overflow(entry, kind, n, alpha, k)
     return None

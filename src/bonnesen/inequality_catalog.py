@@ -16,6 +16,7 @@ the stable report schema.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import highprec
 from .analytic_inequalities import Direction
 from .errors import KindMismatch, NonFiniteValue, ParamOutOfDomain, UnknownId
-from .polygon_core import EvalContext, PolygonKind, PolygonModel, measure_arrays
+from .polygon_core import Dual, EvalContext, PolygonKind, PolygonModel, measure_arrays
 from .records import EQUALITY_RTOL, SlackRecord
 
 log = logging.getLogger(__name__)
@@ -356,8 +357,12 @@ def evaluate_batch(
     ``measure_arrays`` (or ``RegularPart.context``) built from such rows, so
     one measurement can serve many entries; ``radius`` is then unused, as
     the context holds R. Returns arrays lhs, rhs and slack plus the
-    validated (alpha, k), and no term scale: only records carry one. A
-    Python float power past the float range raises NonFiniteValue.
+    validated (alpha, k), and no term scale: only records carry one. On a
+    context whose sums are ``Dual`` numbers, lhs, rhs and slack are their
+    values, the float path's bit for bit, and ``slack_dL`` and
+    ``slack_dA`` are d slack / d sum_L and d slack / d sum_A (each
+    broadcastable to the rows). A Python float power past the float range
+    raises NonFiniteValue.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, kind, alpha, k)
@@ -367,11 +372,15 @@ def evaluate_batch(
         lhs, rhs, slack, _ = _evaluate_sides(entry, ctx, a, kk)
     except OverflowError as exc:  # a power of Python floats in the sides
         raise _overflow(entry, kind, ctx.n, a, kk) from exc
+    partials = {}
+    if isinstance(slack, Dual):  # a dual context: values, and the slack's partials
+        partials = dict(zip(("slack_dL", "slack_dA"), slack.d))
+        lhs, rhs, slack = (x.v if isinstance(x, Dual) else x for x in (lhs, rhs, slack))
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     if lhs.shape != rhs.shape:  # a side with no terms is the scalar 0
         shape = max(lhs.shape, rhs.shape, key=len)
         lhs, rhs = (x if x.shape == shape else np.full(shape, x) for x in (lhs, rhs))
-    return {"lhs": lhs, "rhs": rhs, "slack": slack, "alpha": a, "k": kk}
+    return {"lhs": lhs, "rhs": rhs, "slack": slack, "alpha": a, "k": kk, **partials}
 
 
 def evaluate(
@@ -383,8 +392,8 @@ def evaluate(
     """Slack record for one polygon; see the module docstring for signs.
 
     One pass of the sides over the polygon's one-row context gives values
-    and scale; a side with no terms is the scalar 0. Overflow gives inf or
-    nan quietly, or NonFiniteValue from a Python float power.
+    and scale; a side with no terms is the scalar 0. A side or slack past
+    the float range raises NonFiniteValue.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, polygon.kind, alpha, k)
@@ -409,7 +418,8 @@ def evaluate_exact(
     Measurement and formula both run at 50 digits (``highprec.DPS``) in a
     private mpmath context, so the caller's is neither read nor changed and
     threads may call this at once. The fields are correctly rounded floats
-    of the mpf results: cancellation in lhs - rhs no longer limits accuracy.
+    of the mpf results, so cancellation in lhs - rhs no longer limits
+    accuracy; one past the float range raises NonFiniteValue.
     """
     entry = _resolve(entry_or_id)
     a, kk = _checked_params(entry, polygon.kind, alpha, k)
@@ -419,7 +429,10 @@ def evaluate_exact(
 
 def _record(entry: CatalogEntry, polygon: PolygonModel, alpha, k,
             lhs, rhs, slack, scale) -> SlackRecord:
+    """The record of one evaluation; NonFiniteValue past the float range."""
     lhs, rhs, slack = float(lhs), float(rhs), float(slack)
+    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(slack)):
+        raise _overflow(entry, polygon.kind, polygon.angles.n, alpha, k)
     return SlackRecord(
         lhs=lhs, rhs=rhs, slack=slack,
         equality=abs(slack) <= EQUALITY_RTOL * max(1.0, abs(lhs), abs(rhs)),

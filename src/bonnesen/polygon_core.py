@@ -271,6 +271,49 @@ def float_regular_part(kind: PolygonKind, n: int, radius) -> RegularPart:
     return regular_part(kind, n, radius, math.tan(pin), math.sin(pin), math.cos(pin))
 
 
+class Dual:
+    """Forward-mode dual number over rows, for exact slack gradients.
+
+    ``v`` holds the values; ``d[0]`` and ``d[1]`` their partials in sum_L
+    and sum_A of :meth:`RegularPart.context`, broadcastable to ``v``. Fed
+    to ``context`` (one Dual for both sums when tangential), it runs the
+    catalog formulas unchanged, values bit for bit the float path's.
+    Powers take positive integer exponents.
+    """
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.v + o.v, self.d + o.d)
+        return Dual(self.v + o, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.v, -self.d)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.v * o.v, self.d * o.v + o.d * self.v)
+        return Dual(self.v * o, self.d * o)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, p: int):
+        return Dual(self.v ** p, (p * self.v ** (p - 1)) * self.d)
+
+
 def angle_terms(kind: PolygonKind, angles: np.ndarray):
     """Per-angle summands of sum_L and sum_A (see :meth:`RegularPart.context`).
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import bonnesen
-from bonnesen import PolygonModel, cli, errors, evaluate, extremal_search, reporting, verification
+from bonnesen import (AngleVector, PolygonKind, PolygonModel, cli, errors, evaluate, extremal_search,
+                      reporting, verification)
 
 
 def run(argv):
@@ -310,8 +311,25 @@ class TestSearchCommand:
         assert grid_rows and all(r["grid_min_slack"] >= -1e-10 for r in grid_rows)
 
 
-    def test_cancellation_at_large_powers_is_no_anomaly(self, tmp_path, capsys):
-        """T41A and T42A at k = 9 end 3e-15 of their term scale below zero."""
+    def test_cancellation_at_large_powers_is_no_anomaly(self, tmp_path, capsys, monkeypatch):
+        """T41A and T42A at k = 9 end a few 1e-15 of their term scale below zero.
+
+        Next to the regular triangle these slacks are rounding noise of
+        either sign, so both searches are handed such a point as their best:
+        one angle 6e-16 below pi / 3.
+        """
+        near = AngleVector(values=(math.pi / 3, math.pi / 3 - 6e-16, math.pi / 3),
+                           total=math.pi)
+        real = extremal_search.minimize_slack
+
+        def patched(entry, n, alpha=None, k=None, kind=None, **kwargs):
+            res = real(entry, n, alpha=alpha, k=k, kind=kind, **kwargs)
+            if entry.id not in ("T41A", "T42A") or kind != PolygonKind.TANGENTIAL:
+                return res
+            slack = evaluate(entry, PolygonModel(kind, 1.0, near), alpha, k).slack
+            return replace(res, best_angles=near, best_slack=slack, distance_to_regular=6e-16)
+
+        monkeypatch.setattr(extremal_search, "minimize_slack", patched)
         out = tmp_path / "search.json"
         assert run(["search", "--n", "3", "--k", "9", "--starts", "2", "--out", str(out)]) == 0
         rows = {r["entry_id"]: r for r in json.loads(out.read_text())["results"]

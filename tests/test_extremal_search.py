@@ -1,6 +1,5 @@
 """Slack minimization, the brute-force grid oracle, and the falsifier."""
 
-import collections
 import itertools
 import math
 
@@ -13,7 +12,9 @@ from bonnesen import (
     errors,
     falsify,
     grid_scan,
+    list_entries,
     minimize_slack,
+    sample_simplex_batch,
     sign_flipped,
 )
 from bonnesen import extremal_search
@@ -21,6 +22,20 @@ from bonnesen.extremal_search import lattice_point_count
 from bonnesen.inequality_catalog import evaluate_batch, get_entry
 
 PI = math.pi
+
+
+def _record_descents(monkeypatch):
+    """A list that collects (objective, descent) of every pool run from now on."""
+    descents = []
+    run = extremal_search._Pool.run
+
+    def recorded(pool):
+        done = run(pool)
+        descents.extend((pool.fn, d) for d in done)
+        return done
+
+    monkeypatch.setattr(extremal_search._Pool, "run", recorded)
+    return descents
 
 
 class TestMinimizeSlack:
@@ -51,6 +66,23 @@ class TestMinimizeSlack:
     def test_best_not_above_start_values(self):
         res = minimize_slack("C42B", 5, starts=8, seed=3)
         assert res.best_slack <= 1e-6
+
+    def test_every_start_descends_in_a_narrow_box(self, monkeypatch):
+        """The box [0.3, pi/2 - 0.3] is narrow at n = 3, yet no start is the
+        regular point, where the projected gradient is 0 and a descent
+        would stop before it moved."""
+        descents = _record_descents(monkeypatch)
+        res = minimize_slack("BASIC", 3, starts=6, seed=0,
+                             kind=PolygonKind.TANGENTIAL, margin=0.3)
+        assert len(descents) == 6 and all(d.evals > 1 for _, d in descents)
+        assert res.converged and res.distance_to_regular <= 1e-6
+
+    def test_start_points_lie_in_the_box(self):
+        for n, margin in [(3, 0.3), (3, DEFAULT_MARGIN), (5, 0.1), (20, DEFAULT_MARGIN)]:
+            thetas = extremal_search._start_points(np.random.default_rng(n), 200, n, margin)
+            assert np.all(thetas > margin) and np.all(thetas < PI / 2 - margin)
+            assert np.abs(thetas.sum(axis=1) - PI).max() <= 1e-13
+            assert np.abs(thetas - PI / n).max(axis=1).min() > 1e-3
 
     def test_kind_required_for_dual_entries(self):
         res = minimize_slack("BASIC", 3, starts=5, seed=1,
@@ -195,7 +227,7 @@ class TestNonFiniteSlack:
             minimize_slack("T31A", 3, alpha=120, starts=2, kind=PolygonKind.TANGENTIAL)
 
     def test_falsify_refuses_when_no_settled_descent_ends_finite(self):
-        # The budget settles starts 0 and 1 only, and both overflow: no
+        # Every settled start overflows at its first evaluation: no
         # "survived" verdict rests on them.
         with pytest.raises(errors.NonFiniteValue,
                            match=r"^T31A \(tangential, n=3, alpha=120, k=None\): "):
@@ -244,183 +276,111 @@ class TestFalsify:
             falsify("BASIC", 3, budget_evals=budget, seed=1)
 
 
-def _one_simplex_descent(fn, x0, xtol, max_iter, branches=None):
-    """Reference downhill simplex on one start, one point per ``fn`` call.
+class TestDualGradient:
+    """The dual path's d slack / d theta is the derivative of the float slack."""
 
-    Returns (x, f, iterations, converged, evals, shrinks), shrinks being
-    the iterations that shrank the simplex; the lockstep driver must
-    reproduce it bit for bit on every lane. ``branches``, a Counter, if
-    given, counts the iterations that end in each branch.
-    """
-    if branches is None:
-        branches = collections.Counter()
-    dim = x0.size
-    verts = [x0.copy()]
-    for i in range(dim):
-        v = x0.copy()
-        v[i] += 0.1 if v[i] == 0.0 else 0.1 * abs(v[i]) + 0.05
-        verts.append(v)
-    verts = np.asarray(verts)
-    fvals = np.asarray([fn(v) for v in verts])
-    evals = dim + 1
-    shrinks = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
-        diameter = float(np.max(np.linalg.norm(verts[1:] - verts[0], axis=1)))
-        if diameter < xtol:
-            converged = True
-            break
-        centroid = verts[:-1].mean(axis=0)
-        xr = centroid + 1.0 * (centroid - verts[-1])
-        fr = fn(xr)
-        evals += 1
-        if fr < fvals[0]:
-            xe = centroid + 2.0 * (xr - centroid)
-            fe = fn(xe)
-            evals += 1
-            if fe < fr:
-                verts[-1], fvals[-1] = xe, fe
-                branches["expansion"] += 1
-            else:
-                verts[-1], fvals[-1] = xr, fr
-                branches["expansion refused"] += 1
-        elif fr < fvals[-2]:
-            verts[-1], fvals[-1] = xr, fr
-            branches["reflection"] += 1
-        else:
-            inside = fr >= fvals[-1]
-            base = verts[-1] if inside else xr
-            fbase = fvals[-1] if inside else fr
-            xc = centroid + 0.5 * (base - centroid)
-            fc = fn(xc)
-            evals += 1
-            if fc < fbase:
-                verts[-1], fvals[-1] = xc, fc
-                branches["inside contraction" if inside else "outside contraction"] += 1
-            else:
-                for j in range(1, dim + 1):
-                    verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
-                    fvals[j] = fn(verts[j])
-                evals += dim
-                shrinks.append(it)
-                branches["shrink"] += 1
-    best = int(np.argmin(fvals))
-    return verts[best], float(fvals[best]), it, converged, evals, shrinks
+    @pytest.mark.parametrize("n", [3, 5, 20])
+    def test_gradient_matches_central_differences(self, n):
+        h = 1e-6
+        theta = sample_simplex_batch(n, PI, 0.05, 4, seed=n)
+        checked = 0
+        for entry in list_entries():
+            for kind in sorted(entry.kinds, key=lambda kk: kk.value):
+                for alpha, k in entry.params.combos((1, 2, 3), (2, 3)):
+                    fn = extremal_search._objective(entry, kind, n, alpha, k)
+                    slack, grad = fn(theta)
+                    assert slack.tolist() == evaluate_batch(
+                        entry, kind, 1.0, theta, alpha, k)["slack"].tolist()
+                    for row, g in zip(theta, grad):
+                        steps = np.eye(n) * h
+                        up = evaluate_batch(entry, kind, 1.0, row + steps, alpha, k)["slack"]
+                        down = evaluate_batch(entry, kind, 1.0, row - steps, alpha, k)["slack"]
+                        central = (up - down) / (2 * h)
+                        assert np.abs(g - central).max() <= 1e-6 * np.linalg.norm(g)
+                    checked += 1
+        # The 21 (entry, kind) cases: 13 fixed, 4 with alpha 1-3, 4 with
+        # alpha 1-3 and k 2-3.
+        assert checked == 13 + 4 * 3 + 4 * 3 * 2
 
 
-def _one_row(fn):
-    """``fn`` on one free point at a time."""
-    return lambda row: float(fn(row[None, :])[0])
-
-
-def _lockstep_case(entry_id, kind, n):
-    """The objective of a catalog case and six seeded starts for it."""
-    entry = get_entry(entry_id)
+def _pool_case(entry, kind, n, seed=11, starts=8):
+    """The objective of a catalog case and seeded start points for it."""
+    entry = get_entry(entry) if isinstance(entry, str) else entry
     alpha, k = entry.params.validate(None, None)
-    fn = extremal_search._objective(entry, kind, n, alpha, k, DEFAULT_MARGIN)
-    return fn, [extremal_search._start_point(11, i, n, DEFAULT_MARGIN) for i in range(6)]
+    fn = extremal_search._objective(entry, kind, n, alpha, k)
+    thetas = extremal_search._start_points(np.random.default_rng(seed), starts, n,
+                                           DEFAULT_MARGIN)
+    return fn, thetas
 
 
-class TestLockstepWidth:
-    """A start's descent is the same whatever other starts share its batch."""
+def _descents(fn, thetas, starts):
+    """(theta, f, evals, converged) of ``starts`` descended on one pool."""
+    done = extremal_search._Pool(fn, DEFAULT_MARGIN, starts, thetas[list(starts)]).run()
+    assert [d.start for d in done] == list(starts)
+    return [(d.theta.tolist(), d.f, d.evals, d.converged) for d in done]
 
-    @pytest.mark.parametrize("entry_id,kind,n,max_iter", [
-        ("BASIC", PolygonKind.TANGENTIAL, 3, 4000),
-        ("T53", PolygonKind.CYCLIC, 4, 4000),
-        ("C42B", PolygonKind.TANGENTIAL, 5, 4000),
-        ("T41A", PolygonKind.TANGENTIAL, 5, 40),
-    ])
-    def test_lanes_match_single_descents(self, entry_id, kind, n, max_iter):
-        fn, x0 = _lockstep_case(entry_id, kind, n)
 
-        def descend(starts):
-            lanes = extremal_search._Lanes(fn, n - 1, 1e-10, max_iter)
-            for i in starts:
-                lanes.add(i, x0[i])
-            return [(d.z.tolist(), d.f, d.iterations, d.converged, d.evals)
-                    for d in lanes.run()]
+_CASES = [
+    ("BASIC", PolygonKind.TANGENTIAL, 3),
+    ("BASIC", PolygonKind.CYCLIC, 3),  # descents that end on the upper bound's edge
+    ("T53", PolygonKind.CYCLIC, 4),
+    ("C42B", PolygonKind.TANGENTIAL, 5),
+    ("T41A", PolygonKind.TANGENTIAL, 20),
+    # False inequalities: descents that end on vertices of the box.
+    (sign_flipped("T53"), PolygonKind.CYCLIC, 4),
+    (sign_flipped("C42B"), PolygonKind.TANGENTIAL, 5),
+]
 
-        def reference(i):
-            z, f, iterations, converged, evals, _ = _one_simplex_descent(
-                _one_row(fn), x0[i], 1e-10, max_iter)
-            return z.tolist(), f, iterations, converged, evals
 
-        wide = descend(range(6))
-        assert wide == [d for i in range(6) for d in descend([i])]
-        assert wide == [reference(i) for i in range(6)]
+def _case_id(value):
+    """A flipped entry by its id; pytest's own id for every other value."""
+    return getattr(value, "id", None)
 
-    def test_every_branch_matches_single_descents(self):
-        """Each lane's branch choice, on inf and NaN slacks too.
 
-        A tilted quadratic, inf on a half-plane (as the descent objective
-        is beyond the domain) and NaN on a band. The six starts between
-        them take every branch: expansion taken and refused, reflection,
-        outside and inside contraction, and shrink.
-        """
-        seen = collections.Counter()
+class TestLockstepPool:
+    """A start's descent is the same whatever other starts share its pool."""
 
-        def fn(z):
-            z0, z1 = z[:, 0], z[:, 1]
-            f = (z0 - 1.0) ** 2 + 3.0 * (z1 + 0.5) ** 2 + 0.5 * z0 * z1
-            f[z0 + z1 > 2.5] = np.inf
-            f[(z0 > -1.0) & (z0 < -0.5)] = np.nan
-            seen.update(inf=int(np.isinf(f).sum()), nan=int(np.isnan(f).sum()))
-            return f
+    @pytest.mark.parametrize("entry,kind,n", _CASES, ids=_case_id)
+    def test_pool_width_leaves_each_descent_unchanged(self, entry, kind, n):
+        fn, thetas = _pool_case(entry, kind, n)
+        wide = _descents(fn, thetas, range(8))
+        assert wide == _descents(fn, thetas, range(3)) + _descents(fn, thetas, range(3, 8))
+        assert wide == [d for i in range(8) for d in _descents(fn, thetas, [i])]
+        assert all(converged for *_, converged in wide)
 
-        x0 = [np.array(p) for p in ([1.2, 1.2], [-2.0, 0.4], [-2.95, -1.0],
-                                    [3.0, -0.4], [0.0, 0.0], [-5.0, 3.0])]
-        lanes = extremal_search._Lanes(fn, 2, 1e-10, 400)
-        for i, x in enumerate(x0):
-            lanes.add(i, x)
-        wide = [(d.z.tolist(), d.f, d.iterations, d.converged, d.evals) for d in lanes.run()]
-        assert seen["inf"] and seen["nan"]
-        branches = collections.Counter()
-        references = []
-        for x in x0:
-            z, f, iterations, converged, evals, _ = _one_simplex_descent(
-                _one_row(fn), x, 1e-10, 400, branches)
-            references.append((z.tolist(), f, iterations, converged, evals))
-        assert wide == references
-        assert set(branches) == {"expansion", "expansion refused", "reflection",
-                                 "outside contraction", "inside contraction", "shrink"}
-        # One start never leaves the inf half-plane; no lane ends at NaN.
-        assert [f for _, f, *_ in wide].count(np.inf) == 1
-        assert not any(math.isnan(f) for _, f, *_ in wide)
-
-    @pytest.mark.parametrize("entry_id,kind,n", [
-        ("BASIC", PolygonKind.TANGENTIAL, 3),
-        ("T53", PolygonKind.CYCLIC, 4),
-        ("C42B", PolygonKind.TANGENTIAL, 5),
-    ])
-    def test_one_objective_call_per_iteration(self, entry_id, kind, n, monkeypatch):
-        """One call for the initial simplex, one per iteration, one per shrink."""
-        fn, x0 = _lockstep_case(entry_id, kind, n)
-        refs = [_one_simplex_descent(_one_row(fn), x, 1e-10, 4000) for x in x0]
-        # A converged lane stops at the check that opens its last iteration.
-        iterations = max(it - converged for _, _, it, converged, _, _ in refs)
-        shrinks = set().union(*(r[5] for r in refs))
-        assert shrinks
+    @pytest.mark.parametrize("entry,kind,n", _CASES, ids=_case_id)
+    def test_one_catalog_call_per_lockstep_iteration(self, entry, kind, n, monkeypatch):
         calls = []
         evaluate_batch = extremal_search.catalog.evaluate_batch
 
         def counting(*args):
-            calls.append(args[0])
-            return evaluate_batch(*args)
+            out = evaluate_batch(*args)
+            calls.append(len(out["slack"]))
+            return out
 
         monkeypatch.setattr(extremal_search.catalog, "evaluate_batch", counting)
-        lanes = extremal_search._Lanes(fn, n - 1, 1e-10, 4000)
-        for i, x in enumerate(x0):
-            lanes.add(i, x)
-        lanes.run()
-        assert len(calls) == 1 + iterations + len(shrinks)
+        fn, thetas = _pool_case(entry, kind, n)
+        pool = extremal_search._Pool(fn, DEFAULT_MARGIN, range(8), thetas)
+        running = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while pool.starts:
+                running.append(len(pool.starts))
+                pool.step()
+        # One row per running lane, one call per iteration; the longest
+        # descent sets the iteration count.
+        assert calls == running and len(calls) == pool.steps
 
-    def test_falsify_pool_widens_with_budget(self):
-        widths = [extremal_search._falsify_lanes(b)
-                  for b in (1, 750, 2000, 4999, 5000, 20_000, 100_000)]
-        assert widths == [8, 8, 8, 8, 32, 32, 32]
+    def test_descent_next_to_the_upper_bound_converges(self):
+        """The point where a softmax BFGS stalled against its infinite wall."""
+        fn = extremal_search._objective(get_entry("BASIC"), PolygonKind.CYCLIC, 3, None, None)
+        top = math.pi / 2 - DEFAULT_MARGIN
+        starts = np.array([[math.pi - 0.172 - top, 0.172, top],
+                           [1.399, 0.172, math.pi - 1.571],
+                           [math.pi - 0.172 - (top - 1e-9), 0.172, top - 1e-9]])
+        for theta, f, evals, converged in _descents(fn, starts, range(3)):
+            assert converged
+            assert max(abs(v - math.pi / 3) for v in theta) <= 1e-6
+            assert abs(f) <= 1e-12
 
     @pytest.mark.parametrize("entry,n,budget", [
         (get_entry("T31A"), 3, 2000),
@@ -428,82 +388,82 @@ class TestLockstepWidth:
         (sign_flipped("T52"), 3, 5000),
     ])
     def test_falsify_matches_one_lane(self, entry, n, budget, monkeypatch):
-        """Same verdict, from the same starts checked in the same order.
-
-        Every start launched is charged what the one-simplex reference
-        evaluates over the iterations it ran, and the pool's ``spent`` is
-        their sum, whatever the pool width.
-        """
-        evaluate = extremal_search.catalog.evaluate
-        references = {}
-
-        def reference(fn, start, max_iter):
-            if (start, max_iter) not in references:
-                x0 = extremal_search._start_point(4, start, n, DEFAULT_MARGIN)
-                z, f, it, converged, evals, _ = _one_simplex_descent(
-                    _one_row(fn), x0, extremal_search.DESCENT_XTOL, max_iter)
-                references[start, max_iter] = z.tolist(), f, it, converged, evals
-            return references[start, max_iter]
-
-        pools = []
-
-        class Recorded(extremal_search._Lanes):
-            """A pool that keeps itself and every lane it finishes."""
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.finished = []
-                pools.append(self)
-
-            def step(self):
-                done = super().step()
-                self.finished += done
-                return done
+        """Same verdict, from the same starts settled and checked in the same order."""
+        evaluate, run_pool = extremal_search.catalog.evaluate, extremal_search._Pool.run
 
         def run(lanes):
-            checked = []
+            checked, descents = [], []
 
             def recording(e, poly, alpha, k):
                 checked.append(poly.angles.values)
                 return evaluate(e, poly, alpha, k)
 
-            monkeypatch.setattr(extremal_search, "_falsify_lanes", lambda budget: lanes)
-            monkeypatch.setattr(extremal_search.catalog, "evaluate", recording)
-            monkeypatch.setattr(extremal_search, "_Lanes", Recorded)
-            pools.clear()
-            verdict = falsify(entry, n, budget_evals=budget, seed=4)
-            (pool,) = pools
-            assert not pool._pending
-            for d in pool.finished:
-                assert ((d.z.tolist(), d.f, d.iterations, d.converged, d.evals)
-                        == reference(pool.fn, d.start, extremal_search.DESCENT_MAX_ITER))
-            for start, iters, evals in zip(pool.starts, pool.iters, pool.evals):
-                assert reference(pool.fn, int(start), int(iters))[4] == evals
-            assert pool.spent == (sum(d.evals for d in pool.finished)
-                                  + int(pool.evals.sum()))
-            return verdict, checked
+            def recorded(pool):
+                done = run_pool(pool)
+                descents.extend((d.start, d.theta.tolist(), d.f, d.evals, d.converged)
+                                for d in done)
+                return done
 
-        width = extremal_search._falsify_lanes(budget)
-        widest = extremal_search.FALSIFY_WIDE_LANES
+            if lanes is not None:
+                monkeypatch.setattr(extremal_search, "_falsify_lanes", lambda budget: lanes)
+            monkeypatch.setattr(extremal_search.catalog, "evaluate", recording)
+            monkeypatch.setattr(extremal_search._Pool, "run", recorded)
+            verdict = falsify(entry, n, budget_evals=budget, seed=4)
+            settled, spent = [], 0
+            for d in sorted(descents):
+                if spent >= budget:
+                    break
+                settled.append(d)
+                spent += d[3]
+            return verdict, checked, settled
+
+        assert extremal_search._falsify_lanes(budget) > 1
         one = run(1)
-        assert width > 1 and run(width) == one and run(widest) == one
+        assert run(None) == one
         assert (one[0] is None) == (not entry.id.endswith("FLIPPED"))
+
+    def test_falsify_width_is_a_rule_of_the_budget(self):
+        widths = [extremal_search._falsify_lanes(b)
+                  for b in (1, 750, 4999, 5000, 100_000)]
+        narrow, wide = extremal_search.FALSIFY_NARROW_LANES, extremal_search.FALSIFY_WIDE_LANES
+        assert widths == [narrow] * 3 + [wide] * 2
 
 
 @pytest.mark.parametrize("search", [
-    lambda: minimize_slack("BASIC", 3, starts=2, seed=1),
-    lambda: falsify("BASIC", 3, budget_evals=200, seed=1),
+    lambda: minimize_slack("T53", 4, starts=3, seed=1),
+    lambda: falsify("T53", 4, budget_evals=300, seed=1),
 ], ids=["minimize_slack", "falsify"])
-def test_descents_stop_on_the_descent_constants(search, monkeypatch):
-    """Both descents build their pools with one tolerance and iteration cap."""
-    built = []
+class TestDescentConstants:
+    """Both searches stop their descents on DESCENT_GTOL and DESCENT_MAX_ITER."""
 
-    class Recorded(extremal_search._Lanes):
-        def __init__(self, fn, dim, xtol, max_iter):
-            super().__init__(fn, dim, xtol, max_iter)
-            built.append((xtol, max_iter))
+    def _record(self, monkeypatch):
+        return _record_descents(monkeypatch)
 
-    monkeypatch.setattr(extremal_search, "_Lanes", Recorded)
-    search()
-    assert built and set(built) == {(extremal_search.DESCENT_XTOL,
-                                     extremal_search.DESCENT_MAX_ITER)}
+    def test_a_converged_descent_meets_the_kkt_test(self, search, monkeypatch):
+        descents = self._record(monkeypatch)
+        search()
+        assert descents and all(d.converged for _, d in descents)
+        for fn, d in descents:
+            _, grad = fn(d.theta[None, :])
+            lam = grad.mean()
+            residual = np.abs(grad - lam).max() / max(1.0, abs(lam))
+            assert residual <= extremal_search.DESCENT_GTOL
+
+    def test_a_looser_tolerance_stops_sooner(self, search, monkeypatch):
+        descents = self._record(monkeypatch)
+        search()
+        strict = {d.start: d.evals for _, d in descents}
+        descents.clear()
+        monkeypatch.setattr(extremal_search, "DESCENT_GTOL", 1e-3)
+        search()
+        loose = {d.start: d.evals for _, d in descents}
+        assert all(d.converged for _, d in descents)
+        assert all(loose[i] <= strict[i] for i in loose if i in strict)
+        assert sum(loose.values()) < sum(strict[i] for i in loose if i in strict)
+
+    def test_no_descent_runs_past_the_iteration_cap(self, search, monkeypatch):
+        descents = self._record(monkeypatch)
+        monkeypatch.setattr(extremal_search, "DESCENT_MAX_ITER", 4)
+        search()
+        assert descents and all(d.evals <= 4 for _, d in descents)
+        assert not any(d.converged for _, d in descents)

@@ -160,6 +160,17 @@ class TestEvaluateErrors:
             evaluate("T41A", tangential(probe_triangle()), 120, 9)
         assert isinstance(info.value.__cause__, OverflowError)
 
+    @pytest.mark.parametrize("evaluator", [evaluate, evaluate_exact],
+                             ids=["evaluate", "evaluate_exact"])
+    def test_record_past_the_float_range_is_refused(self, evaluator):
+        """Only array terms overflow here: evaluate's slack would be nan and
+        evaluate_exact's inf, the latter flagged as an equality."""
+        near = PI / 2 - 1e-6
+        poly = tangential(AngleVector(values=(near, near, PI - 2 * near), total=PI))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                errors.NonFiniteValue, match=r"^T31A \(tangential, n=3, alpha=45, k=None\): "):
+            evaluator("T31A", poly, 45)
+
     def test_python_float_overflow_in_evaluate_batch(self):
         pts = np.array([probe_triangle().values])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
