@@ -272,13 +272,14 @@ def float_regular_part(kind: PolygonKind, n: int, radius) -> RegularPart:
 
 
 class Dual:
-    """Forward-mode dual number over rows, for exact slack gradients.
+    """Forward-mode dual number over rows, for exact gradients.
 
-    ``v`` holds the values; ``d[0]`` and ``d[1]`` their partials in sum_L
-    and sum_A of :meth:`RegularPart.context`, broadcastable to ``v``. Fed
-    to ``context`` (one Dual for both sums when tangential), it runs the
-    catalog formulas unchanged, values bit for bit the float path's.
-    Powers take positive integer exponents.
+    ``v`` holds the values; ``d`` their partials in whatever variables the
+    caller seeded, broadcastable to ``v``. The descents seed sum_L and
+    sum_A of :meth:`RegularPart.context` as ``d[0]`` and ``d[1]`` (one Dual
+    for both sums when tangential) and run the catalog formulas unchanged,
+    values bit for bit the float path's; ``certify`` seeds P alone (d = 1)
+    to take h_P of a gap function. Powers take positive integer exponents.
     """
 
     __slots__ = ("v", "d")

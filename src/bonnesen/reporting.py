@@ -20,7 +20,7 @@ from .errors import NonFiniteValue, UsageError
 SCHEMA_VERSION = "bonnesen-report/1"
 
 #: Fixed CSV column order for slack-record tables.
-CSV_COLUMNS = ["entry_id", "n", "R", "alpha", "k", "lhs", "rhs", "slack", "equality"]
+CSV_COLUMNS = ["entry_id", "kind", "n", "R", "alpha", "k", "lhs", "rhs", "slack", "equality"]
 
 #: Published schema every report document must satisfy.
 REPORT_SCHEMA = {
@@ -141,7 +141,8 @@ def record_rows(results: list) -> list[dict]:
 
     Verify rows report their argmin record, search rows their best slack,
     certify rows their worst condition value (with the verdict match in
-    the equality column). An argmin that is not an object is a UsageError.
+    the equality column, and no kind). An argmin that is not an object is
+    a UsageError.
     """
     out = []
     for i, row in enumerate(results):
@@ -157,6 +158,7 @@ def record_rows(results: list) -> list[dict]:
             rec = {"slack": row.get("best_slack", ""), **rec}
         out.append({
             "entry_id": label,
+            "kind": row.get("kind", ""),
             "n": row.get("n", ""),
             "R": row.get("R", ""),
             "alpha": "" if row.get("alpha") is None else row.get("alpha"),

@@ -7,10 +7,10 @@ simplex, evaluates that condition and classifies the sign pattern. The
 verdicts are falsification-style: a classification is "supported at N
 samples", never proven.
 
-Also here are the two proof-side gap functions, the one home of the
-power-sum gap formulas: the convex-side gap function is strictly
-Schur-convex, the reverse-gap function strictly Schur-concave, and the
-certifier is expected to reproduce both classifications.
+A function is data, F(x) = h(P, s) with P = sum f(x_i) and s = f(mean x).
+The two proof-side gap functions, the one home of the power-sum gap
+formulas, are the strictly Schur-convex convex-side gap and the strictly
+Schur-concave reverse gap; the certifier is expected to reproduce both.
 
 Everything is pure and reentrant; certification aggregates samples in
 draw order, so a verdict depends only on the seed.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .analytic_inequalities import FunctionFamily
 from .errors import DomainViolation, NonFiniteValue
-from .polygon_core import GEOMETRIC_BOUND, sample_simplex_batch
+from .polygon_core import GEOMETRIC_BOUND, Dual, sample_simplex_batch
 
 #: Noise floor = this factor times the sampled condition-value scale.
 NOISE_FLOOR_FACTOR = 1e-9
@@ -36,33 +36,45 @@ CERTIFY_MARGIN = 1e-4
 
 @dataclass(frozen=True)
 class SymmetricFunction:
-    """A permutation-symmetric function on an open box domain.
+    """F(x) = h(P, s) on an open box domain, P = sum f(x_i), s = f(mean x).
 
-    ``evaluate`` maps a point of shape (n,) or a batch (m, n) to a scalar
-    or (m,) array. ``partial`` maps (indices, batch) to a list of partial
-    derivatives over the (m, n) batch, one (m,) array per index, in closed
-    form, so that work shared by the partials is done once.
+    ``f`` and ``f_prime`` act elementwise; ``h`` is the one value formula,
+    written with arithmetic and integer powers only, so that it runs on
+    floats, arrays and :class:`~bonnesen.polygon_core.Dual` numbers alike.
     """
 
     arity: int
     domain: tuple[float, float]
-    evaluate: Callable
-    partial: Callable
+    f: Callable
+    f_prime: Callable
+    h: Callable
     name: str = ""
 
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
+    def evaluate(self, x):
+        """F over the last axis: a scalar at a point, (m,) values on an (m, n) batch."""
+        return self.h(*_sums(self, x))
 
 
-def partial_values(F: SymmetricFunction, indices, points) -> list[np.ndarray]:
-    """dF/dx_i over the (m, n) batch ``points`` for each i in ``indices``,
-    one (m,) array each, from one F.partial call."""
-    pts = np.asarray(points, dtype=float)
-    return [np.asarray(d, dtype=float) for d in F.partial(indices, pts)]
+def _sums(F: SymmetricFunction, x) -> tuple[np.ndarray, np.ndarray]:
+    """(P, s) over the last axis of ``x``."""
+    x = np.asarray(x, dtype=float)
+    return (np.asarray(F.f(x), dtype=float).sum(axis=-1),
+            np.asarray(F.f(x.mean(axis=-1)), dtype=float))
+
+
+def _condition(F: SymmetricFunction, pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The (1, 2) Schur condition over the (m, n) batch ``pts`` and its scale.
+
+    dF/dx_i is h_P f'(x_i) plus a chain term through the mean that is the
+    same for every i, so values = h_P (x1 - x2)(f'(x1) - f'(x2)), h_P from
+    one pass of ``F.h`` on a Dual seeded in P; scale = max |h_P (x1 - x2)|
+    max(|f'(x1)|, |f'(x2)|) over the batch.
+    """
+    P, s = _sums(F, pts)
+    weight = F.h(Dual(P, 1.0), s).d * (pts[:, 0] - pts[:, 1])
+    fp1, fp2 = (np.asarray(F.f_prime(pts[:, i]), dtype=float) for i in (0, 1))
+    values = weight * (fp1 - fp2)
+    return values, float((np.abs(weight) * np.maximum(np.abs(fp1), np.abs(fp2))).max())
 
 
 class Classification(str, Enum):
@@ -114,20 +126,21 @@ def certify(
       * both signs beyond the floor    -> NEITHER (two witnesses recorded)
       * everything inside the floor    -> INDETERMINATE
 
-    floor = NOISE_FLOOR_FACTOR * max |x1 - x2| * max(|dF/dx1|, |dF/dx2|)
+    floor = NOISE_FLOOR_FACTOR * max |h_P (x1 - x2)| max(|f'(x1)|, |f'(x2)|)
     over the sample, which keeps the test scale-aware. A condition value
     or floor that leaves the float range raises NonFiniteValue.
+
+    h_P is unfactored: at k = 2 and large P the reverse gap's 2a P^(2a-1)
+    terms are equal floats and cancel exactly, so h_P there is 0 or
+    negative, never positive, and ``worst_value`` can read 0.0.
     """
     if samples < 1:
         raise DomainViolation(f"samples must be >= 1, got {samples}")
-    lo, hi = F.domain
-    pts = sample_simplex_batch(F.arity, total, CERTIFY_MARGIN, samples, seed, bound=hi)
+    pts = sample_simplex_batch(F.arity, total, CERTIFY_MARGIN, samples, seed,
+                               bound=F.domain[1])
     # Overflow is reported below as NonFiniteValue, not as numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2 = partial_values(F, (0, 1), pts)
-        diff = pts[:, 0] - pts[:, 1]
-        values = diff * (d1 - d2)
-        scale = float((np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
+        values, scale = _condition(F, pts)
     if not (np.isfinite(scale) and np.isfinite(values).all()):
         raise NonFiniteValue(f"{F.name}: the Schur condition values leave the float range")
     floor = NOISE_FLOOR_FACTOR * scale
@@ -159,36 +172,6 @@ def certify(
 # ---------------------------------------------------------------------------
 # Proof-side gap functions
 
-def _gap_function(fam: FunctionFamily, n: int, value: Callable,
-                  gradient: Callable, name: str) -> SymmetricFunction:
-    """The symmetric function F = value(P, s), P = sum f(x_i), s = f(mean x).
-
-    ``gradient(P, s)`` gives (dF/dP, dF/ds), so the i-th partial is
-    dF/dP f'(x_i) + (f'(mean x) / n) dF/ds, the second term being the
-    chain through the mean.
-    """
-
-    def evaluate(x):
-        pts, single = _as_batch(x)
-        P = np.asarray(fam.f(pts), dtype=float).sum(axis=1)
-        s = np.asarray(fam.f(pts.mean(axis=1)), dtype=float)
-        out = value(P, s)
-        return out[0] if single else out
-
-    def partial(indices, pts):
-        P = np.asarray(fam.f(pts), dtype=float).sum(axis=1)
-        sig = pts.mean(axis=1)
-        s = np.asarray(fam.f(sig), dtype=float)
-        fp_s = np.asarray(fam.f_prime(sig), dtype=float)
-        d_P, d_s = gradient(P, s)
-        chain = (fp_s / n) * d_s
-        return [d_P * np.asarray(fam.f_prime(pts[:, i]), dtype=float) + chain
-                for i in indices]
-
-    return SymmetricFunction(arity=n, domain=fam.domain, evaluate=evaluate,
-                             partial=partial, name=name)
-
-
 def _coefficient(n: int, exponent: int, name: str) -> float:
     try:
         return float(n) ** exponent
@@ -208,13 +191,10 @@ def power_gap_function(fam: FunctionFamily, n: int, alpha: int) -> SymmetricFunc
     a = int(alpha)
     name = f"power_gap[{fam.name}, alpha={a}, n={n}]"
     na = _coefficient(n, a, name)
-    return _gap_function(
-        fam, n,
+    return SymmetricFunction(
+        n, fam.domain, fam.f, fam.f_prime,
         lambda P, s: P ** (2 * a) - (na + 1.0) * s**a * P**a + na * s ** (2 * a),
-        lambda P, s: (2 * a * P ** (2 * a - 1) - a * (na + 1.0) * s**a * P ** (a - 1),
-                      -a * (na + 1.0) * s ** (a - 1) * P**a + 2 * a * na * s ** (2 * a - 1)),
-        name,
-    )
+        name)
 
 
 def power_gap_reverse_function(
@@ -231,27 +211,13 @@ def power_gap_reverse_function(
     name = f"power_gap_reverse[{fam.name}, alpha={a}, k={kk}, n={n}]"
     na = _coefficient(n, a, name)
     nka = _coefficient(n, kk * a, name)
-    return _gap_function(
-        fam, n,
+    return SymmetricFunction(
+        n, fam.domain, fam.f, fam.f_prime,
         lambda P, s: P ** (2 * a) - na * s**a * P**a - P ** (kk * a) + nka * s ** (kk * a),
-        lambda P, s: (2 * a * P ** (2 * a - 1) - a * na * s**a * P ** (a - 1)
-                      - kk * a * P ** (kk * a - 1),
-                      -a * na * s ** (a - 1) * P**a + kk * a * nka * s ** (kk * a - 1)),
-        name,
-    )
+        name)
 
 
 def linear_function(n: int) -> SymmetricFunction:
     """sum x_i on (0, pi/2): Schur-convex and Schur-concave, strict in neither."""
-
-    def evaluate(x):
-        pts, single = _as_batch(x)
-        out = pts.sum(axis=1)
-        return out[0] if single else out
-
-    def partial(indices, pts):
-        return [np.ones(pts.shape[0]) for _ in indices]
-
-    return SymmetricFunction(arity=n, domain=(0.0, GEOMETRIC_BOUND), evaluate=evaluate,
-                             partial=partial, name=f"linear[n={n}]")
-
+    return SymmetricFunction(n, (0.0, GEOMETRIC_BOUND), lambda x: x, np.ones_like,
+                             lambda P, s: P, f"linear[n={n}]")

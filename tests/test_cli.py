@@ -178,8 +178,11 @@ class TestVerifyCommand:
         out = tmp_path / "rep.csv"
         run(["verify", "--n", "3", "--samples", "100", "--format", "csv",
              "--out", str(out)])
-        header = out.read_text().splitlines()[0]
-        assert header == "entry_id,n,R,alpha,k,lhs,rhs,slack,equality"
+        header, *rows = out.read_text().splitlines()
+        assert header == "entry_id,kind,n,R,alpha,k,lhs,rhs,slack,equality"
+        # BASIC is a tangential and a cyclic entry; the kind tells its rows apart.
+        assert sorted(r.split(",")[1] for r in rows if r.startswith("BASIC,")) == [
+            "cyclic", "tangential"]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--n", "3", "--samples", "120"],
@@ -207,6 +210,16 @@ class TestCertifyCommand:
         probe = [r for r in rows if r["function"] == "probe"]
         assert probe and probe[0]["verdict"] == "indeterminate"
         assert probe[0]["informational"]
+
+    @pytest.mark.parametrize("alpha", ["10", "15", "20", "30"])
+    def test_large_alpha_at_k_2_passes(self, alpha, tmp_path, capsys):
+        """The reverse gap stays Schur-concave above its noise floor."""
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--n", "3", "--alpha", alpha, "--k", "2",
+                    "--samples", "200", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert len(rows) == 5 and all(r["matches"] for r in rows)
+        assert "5 classifications, 0 mismatch(es)" in capsys.readouterr().out
 
     def test_zero_samples_usage_error(self, capsys):
         assert run(["certify", "--samples", "0"]) == 2
@@ -369,7 +382,7 @@ class TestReportCommand:
         conv = tmp_path / "rep.csv"
         run(["verify", "--n", "3", "--samples", "100", "--out", str(rep)])
         assert run(["report", str(rep), "--format", "csv", "--out", str(conv)]) == 0
-        assert conv.read_text().startswith("entry_id,n,R,alpha,k,lhs,rhs,slack,equality")
+        assert conv.read_text().startswith("entry_id,kind,n,R,alpha,k,lhs,rhs,slack,equality")
 
     def test_missing_report_is_usage_error(self, capsys):
         assert run(["report", "/nonexistent/rep.json"]) == 2
@@ -435,7 +448,8 @@ class TestReportCommand:
         path.write_text(json.dumps({"format": "csv"}))
         capsys.readouterr()
         assert run(["report", str(rep), "--config", str(path)]) == 0
-        assert capsys.readouterr().out.startswith("entry_id,n,R,alpha,k,lhs,rhs,slack,equality\n")
+        assert capsys.readouterr().out.startswith(
+            "entry_id,kind,n,R,alpha,k,lhs,rhs,slack,equality\n")
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_out_over_the_report_read_is_usage_error(self, via, tmp_path, capsys):

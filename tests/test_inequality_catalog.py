@@ -32,6 +32,17 @@ from bonnesen.inequality_catalog import evaluate_batch
 
 PI = math.pi
 
+#: (entry, gap builder, constant c(alpha), k values) of the catalog entries
+#: whose tangential slack at R = 1 is c(alpha) times the tan family's gap.
+GAP_TIES = [
+    *[(e, power_gap_function, lambda a: 1.0, (2, 3)) for e in ("T31B", "C36", "T32B", "CQC")],
+    *[(e, power_gap_function, lambda a: 4.0**a, (2, 3)) for e in ("T31A", "C35", "T32A", "CQX")],
+    *[(e, power_gap_reverse_function, lambda a: -1.0, (2, 3))
+      for e in ("T41B", "C4B", "T42B", "C42B")],
+    *[(e, power_gap_reverse_function, lambda a: -(4.0**a), (2, 3)) for e in ("T42A", "C42A")],
+    ("T41A", power_gap_reverse_function, lambda a: -(4.0**a), (2,)),
+]
+
 ALL_IDS = [
     "BASIC", "ZHANG97", "T31A", "T31B", "C35", "C36", "T32A", "T32B",
     "CQX", "CQC", "T41A", "T41B", "C4A", "C4B", "T42A", "T42B",
@@ -356,20 +367,17 @@ class TestCatalogProperties:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_tangential_gaps_match_analytic_layer(self, n):
         # On tangential polygons A/R^2 = L/2R = sum tan(theta) and
-        # d_n = n tan(pi/n), so T31B's slack is the tan family's power gap
-        # function and T41B's the negated reverse gap function.
+        # d_n = n tan(pi/n), so each tied entry's slack is its constant
+        # times the tan family's gap function (see GAP_TIES).
         tan = family("tan")
-        for row in sample_simplex_batch(n, PI, 1e-3, 20, seed=[73, n]):
-            av = AngleVector(tuple(row), PI)
-            for a in (1, 2, 3):
-                pairs = [(evaluate("T31B", tangential(av), alpha=a),
-                          power_gap_function(tan, n, a).evaluate(row))]
-                pairs += [(evaluate("T41B", tangential(av), alpha=a, k=k),
-                           -power_gap_reverse_function(tan, n, a, k).evaluate(row))
-                          for k in (2, 3)]
-                for rec, gap in pairs:
-                    assert rec.slack == pytest.approx(gap, abs=1e-12 * rec.scale), (
-                        rec.entry_id, a)
+        pts = sample_simplex_batch(n, PI, 1e-3, 20, seed=[73, n])
+        for entry_id, gap, constant, k_set in GAP_TIES:
+            for a, k in get_entry(entry_id).params.combos((1, 2, 3), k_set):
+                out = evaluate_batch(entry_id, PolygonKind.TANGENTIAL, 1.0, pts, a, k)
+                F = gap(tan, n, a) if k is None else gap(tan, n, a, k)
+                scale = np.maximum(1.0, np.maximum(np.abs(out["lhs"]), np.abs(out["rhs"])))
+                err = np.abs(out["slack"] - constant(a) * F.evaluate(pts))
+                assert (err <= 1e-12 * scale).all(), (entry_id, a, k)
 
     def test_every_entry_matches_independent_formula(self):
         # Dual-route check: lhs and rhs of every entry, recomputed with

@@ -16,7 +16,7 @@ from bonnesen import (
     power_gap_reverse_function,
     sample_simplex_batch,
 )
-from bonnesen.schur_certifier import partial_values
+from bonnesen.schur_certifier import _condition
 
 PI = math.pi
 PROBE = np.array([0.4 * PI, 0.3 * PI, 0.3 * PI])
@@ -26,8 +26,7 @@ FD_STEP = 1e-6
 
 
 def central_difference(F, i, pts, h=FD_STEP):
-    """(F(x + h e_i) - F(x - h e_i)) / 2h over a (m, n) batch: the reference
-    the closed-form partials are checked against."""
+    """(F(x + h e_i) - F(x - h e_i)) / 2h over a (m, n) batch."""
     up, down = pts.copy(), pts.copy()
     up[:, i] += h
     down[:, i] -= h
@@ -35,10 +34,16 @@ def central_difference(F, i, pts, h=FD_STEP):
             - np.asarray(F.evaluate(down), dtype=float)) / (2.0 * h)
 
 
-def condition(F, x, i=0, j=1):
-    """The Schur condition (x_i - x_j) (dF/dx_i - dF/dx_j) at one point."""
-    d_i, d_j = partial_values(F, (i, j), x[None, :])
-    return float((x[i] - x[j]) * (d_i[0] - d_j[0]))
+def fd_condition(F, pts, i=0, j=1):
+    """(x_i - x_j)(FD_i - FD_j) over a (m, n) batch: the central-difference
+    reference that _condition is checked against."""
+    return (pts[:, i] - pts[:, j]) * (central_difference(F, i, pts)
+                                      - central_difference(F, j, pts))
+
+
+def condition(F, x):
+    """The (1, 2) Schur condition at one point."""
+    return float(_condition(F, x[None, :])[0][0])
 
 
 class TestConditionValue:
@@ -59,14 +64,12 @@ class TestConditionValue:
         # certify checks only the (0, 1) pair; symmetry makes that enough.
         F = power_gap_function(family("tan"), 4, 2)
         pts = sample_simplex_batch(4, PI, 1e-3, 100, seed=17)
-        for row in pts:
-            for i, j in [(0, 2), (1, 3), (2, 3)]:
-                # Permutation putting coordinates (i, j) first; symmetry of F
-                # makes the (i, j) condition equal the (0, 1) condition there.
-                perm = [i, j] + [m for m in range(4) if m not in (i, j)]
-                direct = condition(F, row, i, j)
-                via_perm = condition(F, row[perm], 0, 1)
-                assert direct == pytest.approx(via_perm, rel=1e-12, abs=1e-12)
+        for i, j in [(0, 2), (1, 3), (2, 3)]:
+            # Permutation putting coordinates (i, j) first; symmetry of F
+            # makes the (i, j) condition equal the (0, 1) condition there.
+            perm = [i, j] + [m for m in range(4) if m not in (i, j)]
+            values, scale = _condition(F, pts[:, perm])
+            assert np.abs(values - fd_condition(F, pts, i, j)).max() <= 1e-5 * scale
 
 
 class TestPartials:
@@ -83,25 +86,15 @@ class TestPartials:
         else:
             F = power_gap_reverse_function(fam, n, alpha, k)
         pts = sample_simplex_batch(n, PI, 1e-3, 100, seed=[19, n, alpha])
-        for i in (0, 1):
-            exact = partial_values(F, (i,), pts)[0]
-            fd = central_difference(F, i, pts)
-            assert np.abs(exact - fd).max() <= 1e-5 * np.abs(exact).max()
+        values, scale = _condition(F, pts)
+        assert np.abs(values - fd_condition(F, pts)).max() <= 1e-5 * scale
 
 
 def _neither_probe(n=3):
     # sum sin(3x): f' = 3cos(3x) is not monotone on (0, pi/2), so the
     # condition changes sign across the simplex.
-    def evaluate(x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.sin(3.0 * pts).sum(axis=1)
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    def partial(indices, pts):
-        return [3.0 * np.cos(3.0 * pts[:, i]) for i in indices]
-
-    return SymmetricFunction(arity=n, domain=(0.0, PI / 2), evaluate=evaluate,
-                             partial=partial, name="sin3-sum")
+    return SymmetricFunction(n, (0.0, PI / 2), lambda x: np.sin(3.0 * x),
+                             lambda x: 3.0 * np.cos(3.0 * x), lambda P, s: P, "sin3-sum")
 
 
 class TestCertify:
@@ -126,6 +119,14 @@ class TestCertify:
         assert verdict.classification == Classification.NEITHER
         assert verdict.positive_witness is not None
         assert verdict.negative_witness is not None
+
+    def test_large_alpha_reverse_gap_is_concave(self):
+        # The seed certification_grid gives this cell of
+        # certify --n 3 --alpha 10 --k 2 --samples 200.
+        F = power_gap_reverse_function(family("tan"), 3, 10, 2)
+        verdict = certify(F, PI, 200, seed=[7, 1, 3, 10, 2])
+        assert verdict.classification == Classification.SCHUR_CONCAVE
+        assert verdict.noise_floor < 1e21
 
     def test_zero_samples_rejected(self):
         with pytest.raises(errors.DomainViolation):

@@ -12,7 +12,8 @@ import inspect
 import pytest
 
 from bonnesen import (builtin_families, certify, evaluate_exact, falsify, family,
-                      grid_scan, highprec, linear_function, minimize_slack, reporting,
+                      grid_scan, highprec, linear_function, minimize_slack,
+                      power_gap_function, power_gap_reverse_function, reporting,
                       verification)
 
 #: Parameter names of each callable, "*" where the keyword-only ones begin.
@@ -33,6 +34,9 @@ PARAMETERS = {
     evaluate_exact: ["entry_or_id", "polygon", "alpha", "k"],
     highprec.measure_exact: ["kind", "radius", "angles"],
     linear_function: ["n"],
+    # A gap function is data: its builder takes no options.
+    power_gap_function: ["fam", "n", "alpha"],
+    power_gap_reverse_function: ["fam", "n", "alpha", "k"],
     builtin_families: [],
     family: ["name"],
     # The document sets its schema version, timestamp and hash itself.

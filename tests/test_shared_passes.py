@@ -1,11 +1,12 @@
 """Work done once per sweep, cell or call, against the paths that repeated it.
 
-certify takes both partials from one pass, measure_exact takes cached
-regular-polygon constants, determinism_hash serializes
-once, evaluate_batch no longer builds a term scale, and the sampler ANDs
-its column masks. The old paths are kept here as references, and results
-must match them bit for bit. The call counts the benchmark's tracer reads
-are checked too.
+certify takes h_P from one dual-number pass of a gap function's value
+formula, measure_exact takes cached regular-polygon constants,
+determinism_hash serializes once, evaluate_batch no longer builds a term
+scale, and the sampler ANDs its column masks. The old paths are kept here
+as references, and results must match them bit for bit; the dual h_P,
+checked against the hand-derived dF/dP, matches it to rounding. The call
+counts the benchmark's tracer reads are checked too.
 """
 
 import dataclasses
@@ -22,11 +23,10 @@ from bonnesen import (PolygonKind, PolygonModel, family, highprec, inequality_ca
                       sign_flipped, verification)
 from bonnesen.errors import RejectionBudgetExceeded
 from bonnesen.inequality_catalog import evaluate, evaluate_batch, evaluate_exact
-from bonnesen.polygon_core import (_CHUNK, EvalContext, _check_margin_window,
+from bonnesen.polygon_core import (_CHUNK, Dual, EvalContext, _check_margin_window,
                                    measure_arrays, sample_simplex_batch)
-from bonnesen.schur_certifier import (NOISE_FLOOR_FACTOR, Classification, SchurVerdict,
-                                      certify, partial_values,
-                                      power_gap_function, power_gap_reverse_function)
+from bonnesen.schur_certifier import (CERTIFY_MARGIN, NOISE_FLOOR_FACTOR, Classification,
+                                      certify, power_gap_function, power_gap_reverse_function)
 
 KINDS = (PolygonKind.TANGENTIAL, PolygonKind.CYCLIC)
 
@@ -34,55 +34,14 @@ KINDS = (PolygonKind.TANGENTIAL, PolygonKind.CYCLIC)
 # ------------------------------------------------------------------ certify
 
 def _gradient_reference(n, alpha, k):
-    """(dF/dP, dF/ds) of each gap function, as the per-index partial built it."""
+    """The signed terms of dF/dP of each gap function, derived by hand."""
     a = int(alpha)
     na = float(n) ** a
     if k is None:
-        return lambda P, s: (2 * a * P ** (2 * a - 1) - a * (na + 1.0) * s**a * P ** (a - 1),
-                             -a * (na + 1.0) * s ** (a - 1) * P**a
-                             + 2 * a * na * s ** (2 * a - 1))
+        return lambda P, s: (2 * a * P ** (2 * a - 1), -a * (na + 1.0) * s**a * P ** (a - 1))
     kk = int(k)
-    nka = float(n) ** (kk * a)
-    return lambda P, s: (2 * a * P ** (2 * a - 1) - a * na * s**a * P ** (a - 1)
-                         - kk * a * P ** (kk * a - 1),
-                         -a * na * s ** (a - 1) * P**a + kk * a * nka * s ** (kk * a - 1))
-
-
-def _partial_reference(fam, n, gradient, i, pts):
-    """The i-th gap partial, recomputing P, sigma, s and f'(sigma) per index."""
-    P = np.asarray(fam.f(pts), dtype=float).sum(axis=1)
-    sig = pts.mean(axis=1)
-    s = np.asarray(fam.f(sig), dtype=float)
-    fp_i = np.asarray(fam.f_prime(pts[:, i]), dtype=float)
-    fp_s = np.asarray(fam.f_prime(sig), dtype=float)
-    d_P, d_s = gradient(P, s)
-    return d_P * fp_i + (fp_s / n) * d_s
-
-
-def _certify_reference(F, total, samples, seed, margin=1e-4):
-    """certify with one partial_values call per coordinate of the pair."""
-    pts = sample_simplex_batch(F.arity, total, margin, samples, seed, bound=F.domain[1])
-    d1 = partial_values(F, (0,), pts)[0]
-    d2 = partial_values(F, (1,), pts)[0]
-    diff = pts[:, 0] - pts[:, 1]
-    values = diff * (d1 - d2)
-    floor = NOISE_FLOOR_FACTOR * float(
-        (np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
-    pos, neg = values > floor, values < -floor
-    i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
-    if pos.any() and neg.any():
-        return SchurVerdict(Classification.NEITHER, samples, float(values[i_min]), floor,
-                            witness=tuple(pts[i_min]), positive_witness=tuple(pts[i_max]),
-                            negative_witness=tuple(pts[i_min]))
-    if pos.any():
-        return SchurVerdict(Classification.SCHUR_CONVEX, samples, float(values[i_min]),
-                            floor, witness=tuple(pts[i_min]))
-    if neg.any():
-        return SchurVerdict(Classification.SCHUR_CONCAVE, samples, float(values[i_max]),
-                            floor, witness=tuple(pts[i_max]))
-    worst = (float(values[i_max]) if abs(values[i_max]) >= abs(values[i_min])
-             else float(values[i_min]))
-    return SchurVerdict(Classification.INDETERMINATE, samples, worst, floor)
+    return lambda P, s: (2 * a * P ** (2 * a - 1), -a * na * s**a * P ** (a - 1),
+                         -kk * a * P ** (kk * a - 1))
 
 
 def _gap_cases():
@@ -95,7 +54,9 @@ def _gap_cases():
 
 
 @pytest.mark.parametrize("name", ["tan", "sec", "csc"])
-def test_shared_partials_match_two_partial_value_calls(name):
+def test_dual_h_P_matches_hand_gradient(name):
+    # At k = 2 the reverse gap's first and last terms cancel, so the
+    # tolerance is relative to the largest term, not to their sum.
     for fam_name, n, alpha, k in _gap_cases():
         if fam_name != name:
             continue
@@ -103,13 +64,25 @@ def test_shared_partials_match_two_partial_value_calls(name):
         F = (power_gap_function(fam, n, alpha) if k is None
              else power_gap_reverse_function(fam, n, alpha, k))
         pts = sample_simplex_batch(n, math.pi, 1e-4, 300, seed=[41, n, alpha, k or 0])
-        d1, d2 = partial_values(F, (0, 1), pts)
-        gradient = _gradient_reference(n, alpha, k)
-        for i, d in ((0, d1), (1, d2)):
-            ref = partial_values(F, (i,), pts)[0]
-            assert d.tobytes() == ref.tobytes(), (name, n, alpha, k, i)
-            old = _partial_reference(fam, n, gradient, i, pts)
-            assert d.tobytes() == old.tobytes(), (name, n, alpha, k, i)
+        P = np.asarray(fam.f(pts)).sum(axis=1)
+        s = np.asarray(fam.f(pts.mean(axis=1)))
+        terms = np.array(_gradient_reference(n, alpha, k)(P, s))
+        dual = F.h(Dual(P, 1.0), s).d
+        err = np.abs(dual - terms.sum(axis=0))
+        assert (err <= 1e-13 * np.abs(terms).max(axis=0)).all(), (name, n, alpha, k)
+
+
+def _two_partial_reference(fam, n, alpha, k, samples, seed):
+    """certify's sample, condition values and scale, with dF/dx_1 and dF/dx_2
+    built one at a time from the hand gradient as d_P f'(x_i): the chain
+    term through the mean is the same for both and cancels, so it is left out."""
+    pts = sample_simplex_batch(n, math.pi, CERTIFY_MARGIN, samples, seed, bound=fam.domain[1])
+    P = np.asarray(fam.f(pts)).sum(axis=1)
+    s = np.asarray(fam.f(pts.mean(axis=1)))
+    d_P = sum(_gradient_reference(n, alpha, k)(P, s))
+    d1, d2 = (d_P * fam.f_prime(pts[:, i]) for i in (0, 1))
+    diff = pts[:, 0] - pts[:, 1]
+    return pts, diff * (d1 - d2), float((np.abs(diff) * np.maximum(np.abs(d1), np.abs(d2))).max())
 
 
 @pytest.mark.parametrize("name", ["tan", "sec", "csc"])
@@ -117,19 +90,18 @@ def test_shared_partials_match_two_partial_value_calls(name):
 def test_certify_matches_two_partial_pass(name, n):
     fam = family(name)
     for alpha in (1, 3):
-        for F in (power_gap_function(fam, n, alpha),
-                  power_gap_reverse_function(fam, n, alpha, 2),
-                  power_gap_reverse_function(fam, n, alpha, 3)):
+        for k in (None, 2, 3):
+            F = (power_gap_function(fam, n, alpha) if k is None
+                 else power_gap_reverse_function(fam, n, alpha, k))
             seed = [43, n, alpha]
-            assert certify(F, math.pi, 500, seed) == _certify_reference(F, math.pi, 500, seed)
-
-
-def test_linear_partials_still_work():
-    linear = schur_certifier.linear_function(4)
-    pts = sample_simplex_batch(4, math.pi, 1e-3, 50, seed=3)
-    ones = partial_values(linear, (0, 1), pts)
-    assert all((d == 1.0).all() and d.shape == (50,) for d in ones)
-    assert partial_values(linear, (2,), pts[0][None, :])[0].tolist() == [1.0]
+            verdict = certify(F, math.pi, 500, seed)
+            pts, values, scale = _two_partial_reference(fam, n, alpha, k, 500, seed)
+            i = int(np.argmin(values) if k is None else np.argmax(values))
+            assert verdict.classification == (Classification.SCHUR_CONVEX if k is None
+                                               else Classification.SCHUR_CONCAVE)
+            assert verdict.witness == tuple(pts[i]), (alpha, k)
+            assert verdict.noise_floor == pytest.approx(NOISE_FLOOR_FACTOR * scale, rel=1e-14)
+            assert abs(verdict.worst_value - values[i]) <= 1e-15 * scale, (alpha, k)
 
 
 def test_one_sample_batch_per_certify(monkeypatch):
