@@ -10,11 +10,8 @@ optimization against a brute-force grid oracle.
 
 from . import errors
 from .analytic_inequalities import (
-    CaseId,
-    Convexity,
     Direction,
     FunctionFamily,
-    OdeCase,
     builtin_families,
     coupled_gradient_slack,
     family,

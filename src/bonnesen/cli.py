@@ -39,7 +39,8 @@ from typing import Callable, NamedTuple
 from . import inequality_catalog as catalog, reporting, verification
 from .errors import BonnesenError, UsageError
 from .extremal_search import MAX_STARTS
-from .polygon_core import PolygonKind
+from .polygon_core import DEFAULT_MARGIN, PolygonKind
+from .records import VIOLATION_RTOL
 
 ENV_CONFIG = "BONNESEN_CONFIG"
 
@@ -62,8 +63,8 @@ CONFIG_SCHEMA = {
         "samples": {"type": "integer", "minimum": 1, "default": 10_000},
         "seed": {"anyOf": [{"type": "integer", "minimum": 0}, _int_list(0)], "default": 7},
         "margin": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5,
-                   "default": 1e-6},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-10},
+                   "default": DEFAULT_MARGIN},
+        "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": VIOLATION_RTOL},
         "precision": {"enum": ["standard", "high"], "default": "standard"},
         "out": {"type": ["string", "null"], "default": None},
         "starts": {"type": "integer", "minimum": 1, "maximum": MAX_STARTS, "default": 20},

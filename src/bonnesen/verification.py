@@ -42,7 +42,7 @@ def verify_sweep(
     k_set=(2, 3),
     samples: int = 10_000,
     seed=7,
-    margin: float = 1e-6,
+    margin: float = DEFAULT_MARGIN,
     tolerance_rtol: float = VIOLATION_RTOL,
     extra_entries=(),
     high_precision: bool = False,

@@ -8,8 +8,6 @@ import pytest
 import oracle
 from bonnesen import (
     AngleVector,
-    CaseId,
-    Convexity,
     Direction,
     PolygonKind,
     PolygonModel,
@@ -57,11 +55,21 @@ def gap_sides(fam, x, alpha, k=None):
     return lhs, rhs
 
 
+def domain_grid(fam, points):
+    lo, hi = fam.domain
+    pad = (hi - lo) * 1e-4
+    return np.linspace(lo + pad, hi - pad, points)
+
+
+#: The families with f'' > 0 on their domain; the others have f'' < 0.
+CONVEX = {"tan", "sec", "csc", "square", "sinh", "shifted_cosh"}
+
+#: The paper's four cases: mu, sign f'', sign f' and the direction they force.
 MU_CASES = {
-    "sin": (1.0, CaseId.I1, Direction.GE),
-    "cos": (1.0, CaseId.I2, Direction.LE),
-    "sinh": (1.0, CaseId.II1, Direction.LE),
-    "shifted_cosh": (-1.0, CaseId.II2, Direction.GE),
+    "sin": (1.0, -1, +1, Direction.GE),            # I1
+    "cos": (1.0, -1, -1, Direction.LE),            # I2
+    "sinh": (1.0, +1, +1, Direction.LE),           # II1
+    "shifted_cosh": (-1.0, +1, -1, Direction.GE),  # II2
 }
 
 
@@ -71,36 +79,48 @@ class TestBuiltinFamilies:
         assert names == {"tan", "sec", "csc", "square", "sin", "cos",
                          "sinh", "shifted_cosh"}
 
+    def test_built_once(self):
+        assert family("tan") is family("tan")
+        assert builtin_families() == builtin_families()
+        assert all(fam is family(fam.name) for fam in builtin_families())
+
     @pytest.mark.parametrize("fam", builtin_families(), ids=lambda f: f.name)
     def test_convexity_class_matches_second_derivative(self, fam):
-        fpp = np.asarray(fam.f_double_prime(fam.grid(1000)))
-        if fam.convexity == Convexity.STRICTLY_CONVEX:
+        fpp = np.asarray(fam.f_double_prime(domain_grid(fam, 1000)))
+        if fam.name in CONVEX:
             assert (fpp > 0.0).all()
         else:
             assert (fpp < 0.0).all()
 
     @pytest.mark.parametrize("fam", builtin_families(), ids=lambda f: f.name)
     def test_positivity_on_grid(self, fam):
-        assert (np.asarray(fam.f(fam.grid(1000))) > 0.0).all() == fam.positivity
+        assert (np.asarray(fam.f(domain_grid(fam, 1000))) > 0.0).all()
 
     @pytest.mark.parametrize("name", sorted(MU_CASES))
     def test_mu_residual(self, name):
         # f'^2 - f f'' = mu on a domain grid.
         fam = family(name)
-        x = fam.grid(1000)
+        x = domain_grid(fam, 1000)
         residual = fam.f_prime(x) ** 2 - fam.f(x) * fam.f_double_prime(x) - fam.mu
         assert np.abs(residual).max() <= 1e-10
 
     @pytest.mark.parametrize("name", sorted(MU_CASES))
     def test_case_assignment(self, name):
+        # The signs hold on the whole grid, so the sign of f' f'' at the
+        # domain middle, which fixes the direction, holds everywhere.
         fam = family(name)
-        mu, case, direction = MU_CASES[name]
+        mu, sign_fpp, sign_fp, direction = MU_CASES[name]
         assert fam.mu == mu
-        assert fam.ode_case.case_id == case
-        assert fam.ode_case.direction == direction
-        grid = fam.grid(200)
-        assert (np.sign(fam.f_double_prime(grid)) == fam.ode_case.sign_fpp).all()
-        assert (np.sign(fam.f_prime(grid)) == fam.ode_case.sign_fp).all()
+        grid = domain_grid(fam, 1000)
+        assert (np.sign(fam.f_double_prime(grid)) == sign_fpp).all()
+        assert (np.sign(fam.f_prime(grid)) == sign_fp).all()
+        av = make_angle_vector([0.4, 0.3, 0.2], 0.9, bound=fam.domain[1])
+        rec = coupled_gradient_slack(fam, av, regular_angles(3, 0.9))
+        if direction == Direction.GE:
+            assert rec.slack == rec.lhs - rec.rhs
+        else:
+            assert rec.slack == rec.rhs - rec.lhs
+        assert rec.slack != 0.0
 
     def test_tan_has_no_mu(self):
         assert family("tan").mu is None

@@ -11,7 +11,8 @@ import inspect
 
 import pytest
 
-from bonnesen import (builtin_families, certify, evaluate_exact, falsify, family,
+from bonnesen import (FunctionFamily, builtin_families, certify,
+                      coupled_gradient_slack, evaluate_exact, falsify, family,
                       grid_scan, highprec, linear_function, minimize_slack,
                       power_gap_function, power_gap_reverse_function, reporting,
                       verification)
@@ -39,6 +40,9 @@ PARAMETERS = {
     power_gap_reverse_function: ["fam", "n", "alpha", "k"],
     builtin_families: [],
     family: ["name"],
+    # A family is data, and the coupled gap reads its direction off f' f''.
+    FunctionFamily: ["name", "domain", "f", "f_prime", "f_double_prime", "mu"],
+    coupled_gradient_slack: ["fam", "theta", "psi"],
     # The document sets its schema version, timestamp and hash itself.
     reporting.ReportDocument: ["command", "config", "results", "seed", "samples",
                                "precision_mode"],
