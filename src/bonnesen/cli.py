@@ -52,13 +52,15 @@ def _int_list(minimum: int, **extra) -> dict:
 #: Every config key but ``format`` with its type, range and default. The
 #: merged config (defaults, then config file, then flags) is checked
 #: against it; the formats a subcommand writes are in ``_SUBCOMMANDS``.
+#: A repeated n, alpha, k or kind would repeat rows; a seed list may repeat.
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
-        "n": _int_list(3, default=list(range(3, 9))),
-        "alpha": _int_list(1, default=[1, 2, 3]),
-        "k": _int_list(2, default=[2, 3]),
-        "kinds": {"type": "array", "minItems": 1, "default": ["tangential", "cyclic"],
+        "n": _int_list(3, uniqueItems=True, default=list(range(3, 9))),
+        "alpha": _int_list(1, uniqueItems=True, default=[1, 2, 3]),
+        "k": _int_list(2, uniqueItems=True, default=[2, 3]),
+        "kinds": {"type": "array", "minItems": 1, "uniqueItems": True,
+                  "default": ["tangential", "cyclic"],
                   "items": {"enum": [kind.value for kind in PolygonKind]}},
         "samples": {"type": "integer", "minimum": 1, "default": 10_000},
         "seed": {"anyOf": [{"type": "integer", "minimum": 0}, _int_list(0)], "default": 7},

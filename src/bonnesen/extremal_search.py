@@ -47,8 +47,8 @@ from .polygon_core import (
 
 #: A descent converges when its KKT residual, the largest projected
 #: gradient component relative to max(1, |multiplier|), is at most
-#: DESCENT_GTOL, and stops unconverged after DESCENT_MAX_ITER evaluations;
-#: minimize_slack makes MAX_STARTS at most.
+#: DESCENT_GTOL, and stops unconverged after DESCENT_MAX_ITER evaluations.
+#: minimize_slack descends at most MAX_STARTS starts, all in one pool.
 DESCENT_GTOL, DESCENT_MAX_ITER = 1e-10, 4000
 MAX_STARTS = 160
 
@@ -363,8 +363,7 @@ def minimize_slack(
     """Multi-start projected quasi-Newton descent on an entry's slack at R = 1.
 
     Runs ``starts`` descents from seeded random simplex points on one
-    lockstep pool; when none converges the start count doubles, up to
-    MAX_STARTS in all. Each takes BFGS steps with Armijo backtracking on
+    lockstep pool. Each takes BFGS steps with Armijo backtracking on
     the angles, keeping their sum; steepest descent restarts it where a
     direction is not downhill or a step no longer moves it. An angle on a
     bound of the box [margin, pi/2 - margin] is held until the gradient
@@ -372,46 +371,31 @@ def minimize_slack(
     descent converges when its KKT residual (the projected gradient,
     relative to the multiplier) is at most DESCENT_GTOL, and stops
     unconverged after DESCENT_MAX_ITER evaluations or when a restarted
-    step fails. ``iterations`` counts evaluations, one per value-and-
-    gradient row. ``starts`` outside [1, MAX_STARTS] raises
-    DomainViolation; NonFiniteValue when no descent ends at a finite slack.
+    step fails. The result is the first lowest finite end in start order;
+    ``iterations`` counts the evaluations of every descent, one per value-
+    and-gradient row, and ``converged`` says whether any descent
+    converged. ``starts`` outside [1, MAX_STARTS] raises DomainViolation;
+    NonFiniteValue when no descent ends at a finite slack.
     """
     if not 1 <= starts <= MAX_STARTS:
         raise DomainViolation(f"starts must be in [1, {MAX_STARTS}], got {starts}")
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
     fn = _objective(entry, kind, n, alpha, k)
-    rng = np.random.default_rng(seed_parts(seed))
-    sigma = _TOTAL / n
-
-    best, best_f = None, float("inf")
-    total_iters = 0
-    any_converged = False
-    used = 0
-    batch = starts
-    while used < MAX_STARTS:
-        batch = min(batch, MAX_STARTS - used)
-        thetas = _start_points(rng, batch, n, margin)
-        for d in _Pool(fn, margin, range(used, used + batch), thetas).run():
-            total_iters += d.evals
-            any_converged = any_converged or d.converged
-            if math.isfinite(d.f) and d.f < best_f:
-                best_f, best = d.f, d.theta
-        used += batch
-        if any_converged:
-            break
-        batch *= 2  # adaptive doubling on total non-convergence
-    if best is None:
+    thetas = _start_points(np.random.default_rng(seed_parts(seed)), starts, n, margin)
+    descents = _Pool(fn, margin, range(starts), thetas).run()
+    best = min(descents, key=lambda d: d.f)  # an overflowing descent's f is inf
+    if not math.isfinite(best.f):
         # Every start is feasible, so no finite end means overflowing sides.
         raise catalog._overflow(entry, kind, n, alpha, k)
-    angles = AngleVector(values=tuple(float(v) for v in best), total=_TOTAL)
+    angles = AngleVector(values=tuple(float(v) for v in best.theta), total=_TOTAL)
     return SearchResult(
         entry_id=entry.id,
         best_angles=angles,
-        best_slack=best_f,
-        iterations=total_iters,
-        starts=used,
-        converged=any_converged,
-        distance_to_regular=float(np.max(np.abs(best - sigma))),
+        best_slack=best.f,
+        iterations=sum(d.evals for d in descents),
+        starts=starts,
+        converged=any(d.converged for d in descents),
+        distance_to_regular=angles.max_deviation(),
     )
 
 
@@ -449,12 +433,12 @@ def grid_scan(
     (pi - n margin) / resolution and sum j_i = resolution, every
     coordinate inside the open domain. Every slack is symmetric in the
     angles, so the scan visits only the sorted index tuples
-    j_1 <= ... <= j_n, about 1/n! of the points, in lexicographic order;
-    a point's value is the slack of its ascending angle row, and the
-    argmin is the lexicographically smallest sorted tuple among ties.
-    The composition count is computed in closed form first; above
-    GRID_POINT_CAP the scan refuses with BudgetExceeded rather than
-    grinding. A slack that is not finite raises NonFiniteValue.
+    j_1 <= ... <= j_n, about 1/n! of the points, and evaluates them all in
+    one batch, in lexicographic order; a point's value is the slack of its
+    ascending angle row, and the argmin is the lexicographically smallest
+    sorted tuple among ties. The composition count is computed in closed
+    form first; above GRID_POINT_CAP the scan refuses with BudgetExceeded
+    rather than grinding. A slack that is not finite raises NonFiniteValue.
     """
     entry, kind, alpha, k = _case(entry_or_id, n, alpha, k, kind, margin)
     if resolution < n:
@@ -468,59 +452,37 @@ def grid_scan(
     if count == 0:
         raise DomainViolation("no feasible lattice point at this resolution")
 
-    best_slack = float("inf")
-    best_j: tuple[int, ...] | None = None
+    # The sorted tuples, one column at a time in lexicographic order. With
+    # rem still to place over left indices, the next j is at least the last
+    # one, leaves the others room under hi and at most the mean of the rest;
+    # the last index is what remains.
+    cols, last, rem = [], np.ones(1, dtype=np.intp), np.full(1, resolution, dtype=np.intp)
+    for left in range(n, 1, -1):
+        lo = np.maximum(last, rem - hi * (left - 1))
+        span = np.maximum(rem // left - lo + 1, 0)
+        idx = np.repeat(np.arange(span.size), span)
+        last = lo[idx] + np.arange(idx.size) - (np.cumsum(span) - span)[idx]
+        cols = [c[idx] for c in cols] + [last]
+        rem = rem[idx] - last
+    cols.append(rem)
 
     # The per-angle terms take one value per lattice index, so they are
-    # tabulated once and every plane's sums are gathered from the tables.
+    # tabulated once; each point's (n,) row of terms is summed as
+    # measure_arrays sums it, so the sums match it bit for bit.
     terms_L, terms_A = angle_terms(kind, margin + np.arange(hi + 1) * step)
-    regular = float_regular_part(kind, n, SWEEP_RADIUS)
-
-    # Vectorize the last three indices: a plane is the pairs ja <= jb in
-    # lexicographic order, each completed by jc. Peel the leading indices
-    # off recursively, each at least the one before it.
-    ja_pairs, jb_pairs = np.triu_indices(hi)
-    ja_pairs, jb_pairs = ja_pairs + 1, jb_pairs + 1
-
-    def scan_plane(prefix: list[int], first: int, remaining: int):
-        nonlocal best_slack, best_j
-        jc = remaining - ja_pairs - jb_pairs
-        mask = (ja_pairs >= first) & (jb_pairs <= jc) & (jc <= hi)
-        if not mask.any():
-            return
-        plane = [ja_pairs[mask], jb_pairs[mask], jc[mask]]
-        # The plane's (m, n) terms, summed as measure_arrays sums them, so
-        # the sums match it bit for bit.
-        rows = np.stack(np.broadcast_arrays(*prefix, *plane), axis=1)
-        sum_L = terms_L[rows].sum(axis=1)
-        sum_A = sum_L if terms_A is terms_L else terms_A[rows].sum(axis=1)
-        ctx = regular.context(sum_L, sum_A)
-        slack = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, alpha, k)["slack"]
-        # Every lattice point lies in the domain, so a slack that is not
-        # finite is an overflow, never a point to skip.
-        if not np.isfinite(slack).all():
-            raise catalog._overflow(entry, kind, n, alpha, k)
-        i = int(np.argmin(slack))
-        if slack[i] < best_slack:
-            best_slack = float(slack[i])
-            best_j = tuple(prefix) + tuple(int(col[i]) for col in plane)
-
-    def walk(prefix: list[int], first: int, remaining: int):
-        depth_left = n - len(prefix)
-        if depth_left == 3:
-            scan_plane(prefix, first, remaining)
-            return
-        # j is the least of the depth_left indices still to choose, and the
-        # others must fit under hi.
-        for j in range(max(first, remaining - hi * (depth_left - 1)),
-                       remaining // depth_left + 1):
-            walk(prefix + [j], j, remaining - j)
-
-    # Overflowing slacks are refused in scan_plane, not warned about.
+    rows = np.stack(cols, axis=1)
+    sum_L = np.add.reduce(terms_L[rows], axis=1)
+    sum_A = sum_L if terms_A is terms_L else np.add.reduce(terms_A[rows], axis=1)
+    # Overflowing slacks are refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        walk([], 1, resolution)
-
-    theta = tuple(margin + j * step for j in best_j)
+        ctx = float_regular_part(kind, n, SWEEP_RADIUS).context(sum_L, sum_A)
+        slack = catalog.evaluate_batch(entry, kind, SWEEP_RADIUS, ctx, alpha, k)["slack"]
+    # Every lattice point lies in the domain, so a slack that is not finite
+    # is an overflow, never a point to skip.
+    if not np.isfinite(slack).all():
+        raise catalog._overflow(entry, kind, n, alpha, k)
+    i = int(np.argmin(slack))
+    theta = tuple(margin + j * step for j in rows[i].tolist())
     # Exact lattice rows sum to pi by construction up to roundoff; renormalize
     # the stored argmin so it is a valid AngleVector.
     s = math.fsum(theta)
@@ -528,7 +490,7 @@ def grid_scan(
     return GridScanResult(
         entry_id=entry.id,
         resolution=resolution,
-        grid_min_slack=best_slack,
+        grid_min_slack=float(slack[i]),
         grid_argmin=AngleVector(values=theta, total=_TOTAL),
         step=step,
     )

@@ -534,6 +534,29 @@ class TestConfigFile:
         assert f"config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--n", "3", "3", "--kinds", "cyclic", "cyclic", "--samples", "10"],
+     "error: config key 'n': [3, 3] has non-unique elements"),
+    (["certify", "--n", "3", "--alpha", "1", "1", "--k", "2"],
+     "error: config key 'alpha': [1, 1] has non-unique elements"),
+    (["search", "--n", "3", "--kinds", "cyclic", "cyclic"],
+     "error: config key 'kinds': ['cyclic', 'cyclic'] has non-unique elements"),
+    (["catalog", "--kinds", "cyclic", "cyclic"],
+     "error: config key 'kinds': ['cyclic', 'cyclic'] has non-unique elements"),
+], ids=["verify", "certify", "search", "catalog"])
+def test_repeated_list_value_is_usage_error(argv, line, tmp_path, capsys):
+    """A repeated value would repeat its rows in the report."""
+    out = tmp_path / "rep.json"
+    assert run(argv + ["--out", str(out)]) == 2 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_repeated_seed_list_is_valid(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": [7, 7]}))
+    assert run(["verify", "--n", "3", "--samples", "10", "--config", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "{bad}"],
     ["verify", "--config", "{bad}"],

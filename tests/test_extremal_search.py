@@ -93,6 +93,13 @@ class TestMinimizeSlack:
         with pytest.raises(errors.DomainViolation):
             minimize_slack("T53", 3, kind=PolygonKind.TANGENTIAL)
 
+    def test_descends_exactly_the_starts_asked_for(self, monkeypatch):
+        """No descent converges in 4 evaluations, and no more starts are added."""
+        monkeypatch.setattr(extremal_search, "DESCENT_MAX_ITER", 4)
+        res = minimize_slack("T53", 4, starts=3, seed=1)
+        assert res.starts == 3 and not res.converged
+        assert res.iterations <= 12
+
     @pytest.mark.parametrize("starts", [0, extremal_search.MAX_STARTS + 1])
     def test_start_count_it_cannot_run_is_refused(self, starts):
         """Neither silently one start nor silently MAX_STARTS."""

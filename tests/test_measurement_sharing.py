@@ -104,10 +104,12 @@ def _grid_reference(entry, n, kind, alpha, k, resolution, margin=1e-6):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("n,resolution", [(3, 90), (4, 36), (5, 20)])
+@pytest.mark.parametrize("n,resolution", [(3, 90), (4, 36), (5, 20), (3, 3), (6, 16), (7, 14)])
 def test_grid_scan_matches_per_plane_measurement(kind, n, resolution):
     # A sign-flipped entry has its minimum at an uneven lattice point, where
-    # the order of the row sum shows in the last bits.
+    # the order of the row sum shows in the last bits. (3, 3) is the one
+    # point with every j = 1; (6, 16) and (7, 14) run the most columns
+    # before the last.
     entries = list(list_entries(kind)[::3])
     for entry in entries + [sign_flipped(e) for e in entries]:
         p = entry.params
