@@ -1,12 +1,14 @@
 """Registry of the geometric slack inequalities over circle polygons.
 
-Each entry maps a displayed inequality to a signed slack evaluator over a
-PolygonModel: slack = lhs - rhs for >= entries, rhs - lhs for <= entries,
-so nonnegative slack always means the inequality holds as stated, with
-equality exactly at the regular polygon. Entries carry the polygon kind
-they apply to, their legal (alpha, k) parameter set, a display-style
-citation anchor and the signed terms of each side, from which the lhs,
-the rhs and the record's scale all follow.
+Each entry maps a displayed inequality to the signed terms of its sides,
+which run on an EvalContext of any backend (numpy arrays, Dual numbers or
+50-digit mpf values): slack = lhs - rhs for >= entries, rhs - lhs for <=
+entries, so nonnegative slack always means the inequality holds as stated,
+with equality exactly at the regular polygon. Entries carry the polygon
+kind they apply to, their legal (alpha, k) parameter set, a display-style
+citation anchor and those sides, from which the lhs, the rhs and the
+record's scale all follow. A corollary is its theorem's entry with
+(alpha, k) pinned and its own id, citation and displayed formula.
 
 The catalog is immutable after import; evaluations are pure functions, so
 parallel evaluation is safe. Entry ids and citation strings are part of
@@ -56,35 +58,34 @@ class ParamSpec:
         """Legal (alpha, k) pairs for a sweep grid, deterministic order.
 
         Fixed parameters contribute their pinned value regardless of the
-        grid; free parameters range over the sorted grid values.
+        grid; free parameters range over the sorted grid values, each of
+        which must be legal (ParamOutOfDomain otherwise).
         """
-        alphas = _param_grid(self.uses_alpha, self.alpha_fixed, alpha_set, 1)
-        ks = _param_grid(self.uses_k, self.k_fixed, k_set, 2)
+        alphas = _param_grid("alpha", self.uses_alpha, self.alpha_fixed, alpha_set, 1)
+        ks = _param_grid("k", self.uses_k, self.k_fixed, k_set, 2)
         return [(a, k) for a in alphas for k in ks]
 
 
 def _validate_param(name: str, used: bool, fixed, value, minimum: int):
-    """The value one parameter takes; ``minimum`` is also its default."""
+    """The value one parameter takes, an int (not a bool); ``minimum`` is also its default."""
     if not used:
         if value is not None:
             raise ParamOutOfDomain(f"entry takes no {name}")
         return None
-    if fixed is not None:
-        if value is not None and value != fixed:
-            raise ParamOutOfDomain(f"entry fixes {name} = {fixed}, got {value!r}")
-        return fixed
-    v = minimum if value is None else value
-    if not isinstance(v, (int, np.integer)) or v < minimum:
+    v = (minimum if fixed is None else fixed) if value is None else value
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < minimum:
         raise ParamOutOfDomain(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if fixed is not None and v != fixed:
+        raise ParamOutOfDomain(f"entry fixes {name} = {fixed}, got {value!r}")
     return int(v)
 
 
-def _param_grid(used: bool, fixed, values: Iterable[int], minimum: int) -> list:
+def _param_grid(name: str, used: bool, fixed, values: Iterable[int], minimum: int) -> list:
     if not used:
         return [None]
     if fixed is not None:
         return [fixed]
-    return sorted({int(v) for v in values if int(v) >= minimum})
+    return sorted({_validate_param(name, True, None, v, minimum) for v in values})
 
 
 @dataclass(frozen=True)
@@ -129,145 +130,116 @@ def _dimless(c, a):
     return c.memo[key]
 
 
+def _corollary(theorem: CatalogEntry, id: str, citation: str, formula: str,
+               a: int, k: int | None = None) -> CatalogEntry:
+    """A theorem at pinned (alpha, k): its sides, kinds and direction."""
+    p = theorem.params
+    return replace(theorem, id=id, citation=citation, formula=formula,
+                   params=ParamSpec(p.uses_alpha, p.uses_k, a, k))
+
+
 def _build_entries() -> tuple[CatalogEntry, ...]:
     free_a = ParamSpec(uses_alpha=True)
     free_ak = ParamSpec(uses_alpha=True, uses_k=True)
     no_params = ParamSpec()
 
-    def fixed(a=None, k=None):
-        return ParamSpec(
-            uses_alpha=a is not None,
-            uses_k=k is not None,
-            alpha_fixed=a,
-            k_fixed=k,
-        )
-
-    entries = [
-        CatalogEntry(
-            id="BASIC", citation="Eq. 1.2", kinds=BOTH_KINDS, direction=Direction.GE,
-            params=no_params, formula="L^2 - 4*d_n*A >= 0",
-            sides=lambda c, a, k: (_deficit(c, 1), (1, ())),
-        ),
-        CatalogEntry(
-            id="ZHANG97", citation="Eq. 1.4", kinds=CYCLIC_ONLY, direction=Direction.GE,
-            params=no_params, formula="L^2 - 4*d_n*A >= (L* - L)^2",
-            sides=lambda c, a, k: (_deficit(c, 1), (1, ((c.Lstar - c.L) ** 2,))),
-        ),
-        CatalogEntry(
-            id="T31A", citation="Eq. 3.1", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
-            formula="L^(2a) - 4^a*(d_n*A)^a >= (2*R*tan(pi/n))^a * (L^a - L*^a)",
-            sides=lambda c, a, k: (
-                _deficit(c, a), ((2 * c.R * c.tan_pin) ** a, (c.L**a, -c.Lstar**a))),
-        ),
-        CatalogEntry(
-            id="T31B", citation="Eq. 3.2", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
-            formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((L/2R)^a - (L*/2R)^a)",
-            sides=lambda c, a, k: (
-                _dimless(c, a), (c.tan_pin**a, (c.L_hat**a, -c.Lstar_hat**a))),
-        ),
-        CatalogEntry(
-            id="C35", citation="Eq. 3.5", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1), formula="L^2 - 4*d_n*A >= 2*R*tan(pi/n) * (L - L*)",
-            sides=lambda c, a, k: (_deficit(c, 1), (2 * c.R * c.tan_pin, (c.L, -c.Lstar))),
-        ),
-        CatalogEntry(
-            id="C36", citation="Eq. 3.6", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1),
-            formula="(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (L/2R - L*/2R)",
-            sides=lambda c, a, k: (_dimless(c, 1), (c.tan_pin, (c.L_hat, -c.Lstar_hat))),
-        ),
-        CatalogEntry(
-            id="T32A", citation="Eq. 3.7", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
-            formula="L^(2a) - 4^a*(d_n*A)^a >= 4^a*tan(pi/n)^a * (A^a - A*^a)",
-            sides=lambda c, a, k: (
-                _deficit(c, a), ((4 * c.tan_pin) ** a, (c.A**a, -c.Astar**a))),
-        ),
-        CatalogEntry(
-            id="T32B", citation="Eq. 3.8", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=free_a,
-            formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((A/R^2)^a - (A*/R^2)^a)",
-            sides=lambda c, a, k: (
-                _dimless(c, a), (c.tan_pin**a, (c.A_hat**a, -c.Astar_hat**a))),
-        ),
-        CatalogEntry(
-            id="CQX", citation="Eq. qx", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1), formula="L^2 - 4*d_n*A >= 4*tan(pi/n) * (A - A*)",
-            sides=lambda c, a, k: (_deficit(c, 1), (4 * c.tan_pin, (c.A, -c.Astar))),
-        ),
-        CatalogEntry(
-            id="CQC", citation="Eq. qc", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
-            params=fixed(a=1),
-            formula="(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (A/R^2 - A*/R^2)",
-            sides=lambda c, a, k: (_dimless(c, 1), (c.tan_pin, (c.A_hat, -c.Astar_hat))),
-        ),
-        CatalogEntry(
-            id="T41A", citation="Eq. 4.1", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak, formula="L^(2a) - (4*d_n*A)^a <= L^(ka) - L*^(ka)",
-            sides=lambda c, a, k: (_deficit(c, a), (1, (c.L ** (k * a), -c.Lstar ** (k * a)))),
-        ),
-        CatalogEntry(
-            id="T41B", citation="Eq. 4.2", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
-            formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (L/2R)^(ka) - (L*/2R)^(ka)",
-            sides=lambda c, a, k: (
-                _dimless(c, a), (1, (c.L_hat ** (k * a), -c.Lstar_hat ** (k * a)))),
-        ),
-        CatalogEntry(
-            id="C4A", citation="Eq. 4.3", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=3), formula="L^2 - 4*d_n*A <= L^3 - L*^3",
-            sides=lambda c, a, k: (_deficit(c, 1), (1, (c.L**3, -c.Lstar**3))),
-        ),
-        CatalogEntry(
-            id="C4B", citation="Eq. 4.4", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=2),
-            formula="(A/R^2)^2 - d_n*(L/2R) <= (L/2R)^2 - (L*/2R)^2",
-            sides=lambda c, a, k: (_dimless(c, 1), (1, (c.L_hat**2, -c.Lstar_hat**2))),
-        ),
-        CatalogEntry(
-            id="T42A", citation="Eq. 4.5", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
-            formula="L^(2a) - 4^a*(d_n*A)^a <= 4^a/R^(2(k-1)a) * (A^(ka) - A*^(ka))",
-            # Normalized to R = 1 via A/R^2 and rescaled by R^(2a): avoids the
-            # 1/R^(2(k-1)a) division that amplifies roundoff for small R.
-            sides=lambda c, a, k: (_deficit(c, a), (
-                4**a * c.R ** (2 * a), (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
-        ),
-        CatalogEntry(
-            id="T42B", citation="Eq. 4.6", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=free_ak,
-            formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (A/R^2)^(ka) - (A*/R^2)^(ka)",
-            sides=lambda c, a, k: (
-                _dimless(c, a), (1, (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
-        ),
-        CatalogEntry(
-            id="C42A", citation="Eq. 4.7", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=2), formula="L^2 - 4*d_n*A <= 4/R^2 * (A^2 - A*^2)",
-            sides=lambda c, a, k: (
-                _deficit(c, 1), (4 * c.R**2, (c.A_hat**2, -c.Astar_hat**2))),
-        ),
-        CatalogEntry(
-            id="C42B", citation="Eq. 4.8", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
-            params=fixed(a=1, k=3),
-            formula="(A/R^2)^2 - d_n*(L/2R) <= (A/R^2)^3 - (A*/R^2)^3",
-            sides=lambda c, a, k: (_dimless(c, 1), (1, (c.A_hat**3, -c.Astar_hat**3))),
-        ),
-        CatalogEntry(
-            id="T52", citation="Eq. 5.11", kinds=CYCLIC_ONLY, direction=Direction.LE,
-            params=no_params, formula="A - L*R*cos(pi/n) + d_n*(R*cos(pi/n))^2 <= 0",
-            sides=lambda c, a, k: ((1, (
-                c.A, -c.L * c.R * c.cos_pin, c.dn * (c.R * c.cos_pin) ** 2)), (1, ())),
-        ),
-        CatalogEntry(
-            id="T53", citation="Eq. 5.15", kinds=CYCLIC_ONLY, direction=Direction.GE,
-            params=no_params, formula="L^2 - 4*d_n*A >= (1/R^2)*(A* - A)^2",
-            sides=lambda c, a, k: (
-                _deficit(c, 1), (1, ((c.Astar_hat - c.A_hat) ** 2 * c.R**2,))),
-        ),
-    ]
-    return tuple(entries)
+    basic = CatalogEntry(
+        id="BASIC", citation="Eq. 1.2", kinds=BOTH_KINDS, direction=Direction.GE,
+        params=no_params, formula="L^2 - 4*d_n*A >= 0",
+        sides=lambda c, a, k: (_deficit(c, 1), (1, ())),
+    )
+    zhang97 = CatalogEntry(
+        id="ZHANG97", citation="Eq. 1.4", kinds=CYCLIC_ONLY, direction=Direction.GE,
+        params=no_params, formula="L^2 - 4*d_n*A >= (L* - L)^2",
+        sides=lambda c, a, k: (_deficit(c, 1), (1, ((c.Lstar - c.L) ** 2,))),
+    )
+    t31a = CatalogEntry(
+        id="T31A", citation="Eq. 3.1", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
+        params=free_a,
+        formula="L^(2a) - 4^a*(d_n*A)^a >= (2*R*tan(pi/n))^a * (L^a - L*^a)",
+        sides=lambda c, a, k: (
+            _deficit(c, a), ((2 * c.R * c.tan_pin) ** a, (c.L**a, -c.Lstar**a))),
+    )
+    t31b = CatalogEntry(
+        id="T31B", citation="Eq. 3.2", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
+        params=free_a,
+        formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((L/2R)^a - (L*/2R)^a)",
+        sides=lambda c, a, k: (
+            _dimless(c, a), (c.tan_pin**a, (c.L_hat**a, -c.Lstar_hat**a))),
+    )
+    t32a = CatalogEntry(
+        id="T32A", citation="Eq. 3.7", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
+        params=free_a,
+        formula="L^(2a) - 4^a*(d_n*A)^a >= 4^a*tan(pi/n)^a * (A^a - A*^a)",
+        sides=lambda c, a, k: (
+            _deficit(c, a), ((4 * c.tan_pin) ** a, (c.A**a, -c.Astar**a))),
+    )
+    t32b = CatalogEntry(
+        id="T32B", citation="Eq. 3.8", kinds=TANGENTIAL_ONLY, direction=Direction.GE,
+        params=free_a,
+        formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a >= tan(pi/n)^a * ((A/R^2)^a - (A*/R^2)^a)",
+        sides=lambda c, a, k: (
+            _dimless(c, a), (c.tan_pin**a, (c.A_hat**a, -c.Astar_hat**a))),
+    )
+    t41a = CatalogEntry(
+        id="T41A", citation="Eq. 4.1", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
+        params=free_ak, formula="L^(2a) - (4*d_n*A)^a <= L^(ka) - L*^(ka)",
+        sides=lambda c, a, k: (_deficit(c, a), (1, (c.L ** (k * a), -c.Lstar ** (k * a)))),
+    )
+    t41b = CatalogEntry(
+        id="T41B", citation="Eq. 4.2", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
+        params=free_ak,
+        formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (L/2R)^(ka) - (L*/2R)^(ka)",
+        sides=lambda c, a, k: (
+            _dimless(c, a), (1, (c.L_hat ** (k * a), -c.Lstar_hat ** (k * a)))),
+    )
+    t42a = CatalogEntry(
+        id="T42A", citation="Eq. 4.5", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
+        params=free_ak,
+        formula="L^(2a) - 4^a*(d_n*A)^a <= 4^a/R^(2(k-1)a) * (A^(ka) - A*^(ka))",
+        # Normalized to R = 1 via A/R^2 and rescaled by R^(2a): avoids the
+        # 1/R^(2(k-1)a) division that amplifies roundoff for small R.
+        sides=lambda c, a, k: (_deficit(c, a), (
+            4**a * c.R ** (2 * a), (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
+    )
+    t42b = CatalogEntry(
+        id="T42B", citation="Eq. 4.6", kinds=TANGENTIAL_ONLY, direction=Direction.LE,
+        params=free_ak,
+        formula="(A/R^2)^(2a) - d_n^a*(L/2R)^a <= (A/R^2)^(ka) - (A*/R^2)^(ka)",
+        sides=lambda c, a, k: (
+            _dimless(c, a), (1, (c.A_hat ** (k * a), -c.Astar_hat ** (k * a)))),
+    )
+    t52 = CatalogEntry(
+        id="T52", citation="Eq. 5.11", kinds=CYCLIC_ONLY, direction=Direction.LE,
+        params=no_params, formula="A - L*R*cos(pi/n) + d_n*(R*cos(pi/n))^2 <= 0",
+        sides=lambda c, a, k: ((1, (
+            c.A, -c.L * c.R * c.cos_pin, c.dn * (c.R * c.cos_pin) ** 2)), (1, ())),
+    )
+    t53 = CatalogEntry(
+        id="T53", citation="Eq. 5.15", kinds=CYCLIC_ONLY, direction=Direction.GE,
+        params=no_params, formula="L^2 - 4*d_n*A >= (1/R^2)*(A* - A)^2",
+        sides=lambda c, a, k: (
+            _deficit(c, 1), (1, ((c.Astar_hat - c.A_hat) ** 2 * c.R**2,))),
+    )
+    return (
+        basic, zhang97, t31a, t31b,
+        _corollary(t31a, "C35", "Eq. 3.5", "L^2 - 4*d_n*A >= 2*R*tan(pi/n) * (L - L*)", 1),
+        _corollary(t31b, "C36", "Eq. 3.6",
+                   "(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (L/2R - L*/2R)", 1),
+        t32a, t32b,
+        _corollary(t32a, "CQX", "Eq. qx", "L^2 - 4*d_n*A >= 4*tan(pi/n) * (A - A*)", 1),
+        _corollary(t32b, "CQC", "Eq. qc",
+                   "(A/R^2)^2 - d_n*(L/2R) >= tan(pi/n) * (A/R^2 - A*/R^2)", 1),
+        t41a, t41b,
+        _corollary(t41a, "C4A", "Eq. 4.3", "L^2 - 4*d_n*A <= L^3 - L*^3", 1, 3),
+        _corollary(t41b, "C4B", "Eq. 4.4",
+                   "(A/R^2)^2 - d_n*(L/2R) <= (L/2R)^2 - (L*/2R)^2", 1, 2),
+        t42a, t42b,
+        _corollary(t42a, "C42A", "Eq. 4.7", "L^2 - 4*d_n*A <= 4/R^2 * (A^2 - A*^2)", 1, 2),
+        _corollary(t42b, "C42B", "Eq. 4.8",
+                   "(A/R^2)^2 - d_n*(L/2R) <= (A/R^2)^3 - (A*/R^2)^3", 1, 3),
+        t52, t53,
+    )
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = _build_entries()

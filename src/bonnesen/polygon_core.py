@@ -337,6 +337,8 @@ def measure_arrays(kind: PolygonKind, radius: float, angles: np.ndarray) -> Eval
     :func:`measure` is the single-polygon wrapper.
     """
     angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2:
+        raise DomainViolation(f"angles must be an (m, n) array of rows, got shape {angles.shape}")
     n = angles.shape[1]
     if n < 3:
         raise InvalidN(f"geometric measurement needs n >= 3, got {n}")

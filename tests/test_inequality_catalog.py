@@ -27,8 +27,9 @@ from bonnesen import (
     regular_angles,
     sample_simplex_batch,
     sign_flipped,
+    verification,
 )
-from bonnesen.inequality_catalog import evaluate_batch
+from bonnesen.inequality_catalog import ParamSpec, evaluate_batch
 
 PI = math.pi
 
@@ -47,6 +48,13 @@ ALL_IDS = [
     "BASIC", "ZHANG97", "T31A", "T31B", "C35", "C36", "T32A", "T32B",
     "CQX", "CQC", "T41A", "T41B", "C4A", "C4B", "T42A", "T42B",
     "C42A", "C42B", "T52", "T53",
+]
+#: (corollary, theorem, alpha, k): each corollary is its theorem at these pins.
+COROLLARIES = [
+    ("C35", "T31A", 1, None), ("C36", "T31B", 1, None),
+    ("CQX", "T32A", 1, None), ("CQC", "T32B", 1, None),
+    ("C4A", "T41A", 1, 3), ("C4B", "T41B", 1, 2),
+    ("C42A", "T42A", 1, 2), ("C42B", "T42B", 1, 3),
 ]
 CYCLIC_IDS = ["BASIC", "ZHANG97", "T52", "T53"]
 #: Entries stated in L/2R and A/R^2 only: their slack does not change with R.
@@ -100,6 +108,13 @@ class TestCatalogStructure:
     def test_unknown_id(self):
         with pytest.raises(errors.UnknownId):
             get_entry("NOPE")
+
+    @pytest.mark.parametrize("corollary, theorem, a, k", COROLLARIES)
+    def test_corollary_is_its_theorem(self, corollary, theorem, a, k):
+        c, t = get_entry(corollary), get_entry(theorem)
+        assert c.sides is t.sides
+        assert (c.kinds, c.direction) == (t.kinds, t.direction)
+        assert c.params == ParamSpec(t.params.uses_alpha, t.params.uses_k, a, k)
 
 
 class TestEvaluateExamples:
@@ -163,6 +178,25 @@ class TestEvaluateErrors:
             evaluate("T41A", poly, alpha=1, k=1)
         with pytest.raises(errors.ParamOutOfDomain):
             evaluate("C4A", poly, alpha=1, k=2)
+        # A bool is not an integer parameter, pinned or free.
+        with pytest.raises(errors.ParamOutOfDomain):
+            evaluate("T31A", poly, alpha=True)
+        with pytest.raises(errors.ParamOutOfDomain):
+            evaluate("C35", poly, alpha=True)
+        # A grid value that evaluate would refuse is refused, not skipped.
+        with pytest.raises(errors.ParamOutOfDomain):
+            evaluate_all(poly, alpha_set=(0,), k_set=(1,))
+        with pytest.raises(errors.ParamOutOfDomain):
+            verification.verify_sweep(kinds=(PolygonKind.TANGENTIAL,), n_set=(3,),
+                                      alpha_set=(0,), k_set=(1,), samples=10)
+        with pytest.raises(errors.ParamOutOfDomain):
+            get_entry("T41A").params.combos((2.9,), (2,))
+        with pytest.raises(errors.ParamOutOfDomain):
+            get_entry("T41A").params.combos((1,), (True,))
+
+    def test_batch_must_be_rows(self):
+        with pytest.raises(errors.DomainViolation, match=r"\(m, n\) .*got shape \(3,\)"):
+            evaluate_batch("BASIC", PolygonKind.TANGENTIAL, 1.0, np.full(3, PI / 3))
 
     def test_python_float_overflow_in_evaluate(self):
         # L*^(ka) is a Python float power, so it raises instead of giving inf.
